@@ -8,10 +8,9 @@ Subcommands
     selftest  fast internal consistency battery
 
 Exit codes: 0 success, 1 mathematical failure (a vanishing witness, a failed
-check, a refused computation), 2 usage or parse error.  Output formats are
-json, csv and md; payloads are deterministic apart from the timestamp field.
-The environment variable BREDONKIT_THREADS caps the worker pool used to
-spread independent gradings of a table.
+check, a refused computation such as F_p coefficients with (p-1)^2 >= 2^63),
+2 usage or parse error.  Output formats are json, csv and md; payloads are
+deterministic apart from the timestamp field.
 """
 
 import argparse
@@ -19,14 +18,13 @@ import csv
 import io
 import json
 import math
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 from .cyclic_reps import CyclicGroup, irrep, parse_rep, trivial_rep
 from .errors import (BredonKitError, NotPrime, ParseError, TrivialCharacter)
+from .exact_linalg import check_prime
 from .gcw_complex import (based_zero_sphere, load_gcw, minimal_rep_sphere,
                           periodic_free_model, plus_point, sphere_of_rep)
 from .mackey_bredon import (MackeyCoefficients, bredon_cohomology,
@@ -95,22 +93,6 @@ def _parse_range(text):
     return range(a, b + 1)
 
 
-def _thread_count():
-    raw = os.environ.get("BREDONKIT_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_gradings(fn, gradings):
-    workers = _thread_count()
-    if workers == 1:
-        return [fn(g) for g in gradings]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, gradings))
-
-
 # ---------------------------------------------------------------------------
 # point
 
@@ -118,9 +100,7 @@ _POINT_FIELDS = ("m", "n", "dim", "group", "label")
 
 
 def cmd_point(args):
-    p = int(args.p)
-    if not _is_prime_int(p):
-        raise NotPrime("point tables need a prime order, got %d" % p)
+    p = check_prime(args.p)
     coeff = args.coeff or "fp"
     method = args.method
     if coeff == "z":
@@ -157,12 +137,8 @@ def cmd_point(args):
                     "group": first.describe(),
                     "label": ";".join(first.labels)}
 
-    rows = _map_gradings(one, gradings)
+    rows = [one(g) for g in gradings]
     return OutputDocument(_echo(args), _POINT_FIELDS, rows), 0
-
-
-def _is_prime_int(p):
-    return p >= 2 and all(p % q for q in range(2, int(p ** 0.5) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -175,14 +151,7 @@ def cmd_space(args):
     with open(args.path) as handle:
         x = load_gcw(handle.read())
     coeff = args.coeff or "fp"
-    if coeff == "z":
-        ring = "Z"
-    else:
-        p = x.group.order
-        if not _is_prime_int(p):
-            raise ValueError("--coeff fp needs a prime-order group, "
-                             "C_%d is not" % p)
-        ring = ("F", p)
+    ring = "Z" if coeff == "z" else ("F", x.group.order)
     mackey = MackeyCoefficients(x.group, ring)
     text = args.grading.strip()
     try:

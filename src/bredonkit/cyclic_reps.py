@@ -11,7 +11,8 @@ for mod-p coefficients.
 import re
 from math import gcd
 
-from .errors import NotASubgroup, NotPrime
+from .errors import NotASubgroup
+from .exact_linalg import check_prime
 
 
 class CyclicGroup:
@@ -253,13 +254,6 @@ def reduced_regular(group):
     return VirtualRep(group, {k: 1 for k in group.nontrivial_labels()})
 
 
-def _check_prime(p):
-    p = int(p)
-    if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
-        raise NotPrime("%r is not prime" % p)
-    return p
-
-
 def canonicalize(v, p):
     """Collapse every rotation character to xi: returns RestrictedGrading.
 
@@ -267,7 +261,7 @@ def canonicalize(v, p):
     differ by a virtual rep of zero dimension and zero fixed dimension.
     For p = 2 the role of xi is played by the sign character.
     """
-    p = _check_prime(p)
+    p = check_prime(p)
     if v.group.order != p:
         raise ValueError("canonicalize needs a representation of C_%d" % p)
     m = v.multiplicity(0)

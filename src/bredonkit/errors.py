@@ -23,6 +23,10 @@ class NotPrime(BredonKitError):
     """An operation restricted to prime group order got a composite."""
 
 
+class PrimeTooLarge(BredonKitError):
+    """F_p coefficients whose products of two residues overflow int64."""
+
+
 class TrivialCharacter(BredonKitError):
     """Euler data of the trivial character was requested."""
 

@@ -2,17 +2,19 @@
 
 Integer work (Smith normal form, integral homology, element orders in
 cokernels) is pure Python on arbitrary-precision ints.  Mod-p work is a
-separate vectorized Gaussian-elimination path on numpy int64 arrays; all
-primes used here are tiny, so p**3 stays far below 2**63 and no modular
-tricks are needed.
+separate vectorized Gaussian-elimination path on numpy int64 arrays, so
+check_coeff refuses a prime p unless (p - 1)**2 < 2**63: one product of
+two reduced entries then fits in int64.
 
 Everything is a pure function on immutable-in-spirit inputs; nothing here
 keeps state between calls.
 """
 
+from math import isqrt
+
 import numpy as np
 
-from .errors import CompositionNotZero
+from .errors import CompositionNotZero, NotPrime, PrimeTooLarge
 
 
 class IntMatrix:
@@ -312,12 +314,30 @@ class GroupPresentation:
         return "<GroupPresentation %s>" % self.describe()
 
 
-def _check_coeff(coeff):
+def is_prime(n):
+    return n >= 2 and all(n % r for r in range(2, isqrt(n) + 1))
+
+
+def check_prime(p):
+    """p as an int; raises NotPrime unless it is prime."""
+    p = int(p)
+    if not is_prime(p):
+        raise NotPrime("%r is not prime" % p)
+    return p
+
+
+def check_coeff(coeff):
+    """The ring "Z" or ("F", p), p a prime small enough for int64 work."""
     if coeff == "Z":
         return coeff
     if isinstance(coeff, tuple) and len(coeff) == 2 and coeff[0] == "F":
-        return coeff
-    raise ValueError("coeff must be 'Z' or ('F', p)")
+        p = int(coeff[1])
+        # before the primality test, whose trial division is slow for such p
+        if (p - 1) ** 2 >= 2 ** 63:
+            raise PrimeTooLarge("F_p needs (p - 1)^2 < 2^63 for int64 "
+                                "elimination, got p = %d" % p)
+        return ("F", check_prime(p))
+    raise ValueError("coefficient ring must be 'Z' or ('F', p)")
 
 
 def kernel_basis(m):
@@ -368,7 +388,7 @@ def homology_at(d_in, d_out, coeff):
 
     d_in has as many rows as C has generators; d_out as many columns.
     """
-    coeff = _check_coeff(coeff)
+    coeff = check_coeff(coeff)
     if d_in.rows != d_out.cols:
         raise ValueError("middle module size mismatch")
     if coeff == "Z":

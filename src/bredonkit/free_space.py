@@ -21,18 +21,12 @@ which is the same element of the ring.
 import numpy as np
 
 from .cyclic_reps import IrrepLabel, VirtualRep, canonicalize, irrep
-from .errors import (InvariantViolation, KappaUnsupported, NotFree, NotPrime,
+from .errors import (InvariantViolation, KappaUnsupported, NotFree,
                      UnsupportedGrading)
-from .exact_linalg import GroupPresentation, fp_row_reduce, fp_solve
+from .exact_linalg import (GroupPresentation, check_prime, fp_row_reduce,
+                           fp_solve)
 from .mackey_bredon import (CohomologyClass, MackeyCoefficients,
-                            _grading_pair, _is_prime, ro_graded_cohomology)
-
-
-def _prime_order(group):
-    p = group.order
-    if not _is_prime(p):
-        raise NotPrime("free-space cohomology works over C_p, not C_%d" % p)
-    return p
+                            ro_graded_cohomology)
 
 
 def _require_free(x):
@@ -56,12 +50,14 @@ def _normal_form(u, db_prev, p):
 class _FiberModel:
     """Cochain model of the bundle (S(eta) x X)/G -> X/G for one character.
 
-    Over every orbit s-cell of X the total space carries p vertex-type
+    Over every orbit s-cell of X the total space E carries p vertex-type
     cells in degree s and, when the fiber circle has an edge (odd p), p
-    edge-type cells in degree s+1; the label delta in <v, delta, x> or
-    <e, delta, x> records the relative translate.  The pullback, the
-    gauge-normalised cokernel and the fiber sum are all matrices mod p,
-    so one Euler step is a single linear solve.
+    edge-type cells in degree s+1.  E^s lists the vertex cells first, in
+    blocks by translate d = 0 .. p-1 (entry d * nb + i for base cell i),
+    then the edge cells, in blocks by translate.  The relative cochains
+    Q^s are E^s without the translate-0 vertex block, so the pullback,
+    the gauge projection and the fiber sum are index arithmetic on
+    delta_E, and one Euler step is a single linear solve mod p.
     """
 
     def __init__(self, x, p, edge_word):
@@ -93,12 +89,6 @@ class _FiberModel:
 
     def esize(self, s):
         n = self.p * self.bsize(s)
-        if self.edge_word is not None:
-            n += self.p * self.bsize(s - 1)
-        return n
-
-    def qsize(self, s):
-        n = (self.p - 1) * self.bsize(s)
         if self.edge_word is not None:
             n += self.p * self.bsize(s - 1)
         return n
@@ -139,55 +129,6 @@ class _FiberModel:
         self._de[s] = m
         return m
 
-    def pimat(self, s):
-        """Pullback B^s -> E^s: constant across translates, zero on edges."""
-        m = np.zeros((self.esize(s), self.bsize(s)), dtype=np.int64)
-        for d in range(self.p):
-            for i in range(self.bsize(s)):
-                m[d * self.bsize(s) + i, i] = 1
-        return m
-
-    def lift(self, s):
-        """Gauge section Q^s -> E^s (translate 0 of every vertex zeroed)."""
-        nb = self.bsize(s)
-        m = np.zeros((self.esize(s), self.qsize(s)), dtype=np.int64)
-        for d in range(1, self.p):
-            for i in range(nb):
-                m[d * nb + i, (d - 1) * nb + i] = 1
-        if self.edge_word is not None:
-            for k in range(self.p * self.bsize(s - 1)):
-                m[self.p * nb + k, (self.p - 1) * nb + k] = 1
-        return m
-
-    def gauge(self, s):
-        """Projection E^s -> Q^s killing the pullback image."""
-        nb = self.bsize(s)
-        m = np.zeros((self.qsize(s), self.esize(s)), dtype=np.int64)
-        for d in range(1, self.p):
-            for i in range(nb):
-                m[(d - 1) * nb + i, d * nb + i] = 1
-                m[(d - 1) * nb + i, i] = -1 % self.p
-        if self.edge_word is not None:
-            for k in range(self.p * self.bsize(s - 1)):
-                m[(self.p - 1) * nb + k, self.p * nb + k] = 1
-        return m
-
-    def fiber(self, s):
-        """Fiber sum Q^s -> B^(s-1) (edges) or Q^s -> B^s (two-point fiber)."""
-        nb = self.bsize(s)
-        if self.edge_word is None:
-            m = np.zeros((nb, self.qsize(s)), dtype=np.int64)
-            for i in range(nb):
-                m[i, i] = 1
-            return m
-        nbm = self.bsize(s - 1)
-        m = np.zeros((nbm, self.qsize(s)), dtype=np.int64)
-        off = (self.p - 1) * nb
-        for d in range(self.p):
-            for i in range(nbm):
-                m[i, off + d * nbm + i] = 1
-        return m
-
     # -- the Euler step ----------------------------------------------------
 
     def euler_step(self, s, u):
@@ -208,10 +149,19 @@ class _FiberModel:
             raise ValueError("cochain does not match the quotient in degree %d" % s)
         if np.any((self.dbmat(s) @ u) % p):
             raise ValueError("Euler step needs a cocycle")
-        nq = self.qsize(qdeg)
-        nw = self.bsize(s - 1)
-        dq = (self.gauge(qdeg + 1) @ self.demat(qdeg) @ self.lift(qdeg)) % p
-        fib = self.fiber(qdeg)
+        nb, nbo, nw = self.bsize(qdeg), self.bsize(out), self.bsize(s - 1)
+        de = self.demat(qdeg)[:, nb:]   # delta_E on the gauge lift of Q
+        nq = de.shape[1]
+        # gauge projection: subtract translate 0 from every vertex block
+        dq = de[nbo:].copy()
+        dq[:(p - 1) * nbo] -= np.tile(de[:nbo], (p - 1, 1))
+        dq %= p
+        if self.edge_word is None:
+            fib = np.eye(nb, nq, dtype=np.int64)
+        else:   # sum over the p translates of each edge cell
+            ns = self.bsize(s)
+            fib = np.hstack([np.zeros((ns, (p - 1) * nb), dtype=np.int64),
+                             np.tile(np.eye(ns, dtype=np.int64), p)])
         top = np.hstack([dq, np.zeros((dq.shape[0], nw), dtype=np.int64)])
         bot = np.hstack([fib, (-self.dbmat(s - 1)) % p if nw else
                          np.zeros((self.bsize(s), 0), dtype=np.int64)])
@@ -219,10 +169,10 @@ class _FiberModel:
         sol = fp_solve(np.vstack([top, bot]), rhs, p)
         if sol is None:
             raise InvariantViolation("fiber integration system is inconsistent")
-        qt = self.lift(qdeg) @ (np.asarray(sol[:nq], dtype=np.int64) % p)
-        dqt = (self.demat(qdeg) @ qt) % p
-        a = dqt[:self.bsize(out)]
-        if not np.array_equal(dqt, (self.pimat(out) @ a) % p):
+        dqt = (de @ (np.asarray(sol[:nq], dtype=np.int64) % p)) % p
+        a = dqt[:nbo]
+        if (np.any(dqt[p * nbo:])
+                or not np.array_equal(dqt[:p * nbo], np.tile(a, p))):
             raise InvariantViolation("connecting cochain is not a pullback")
         return a
 
@@ -245,7 +195,8 @@ def _coerce_rep(group, v):
 def _pair(grading, p):
     if isinstance(grading, VirtualRep):
         grading = canonicalize(grading, p)
-    return _grading_pair(grading)
+    m, n = map(int, grading)
+    return m, n
 
 
 def euler_action_free(x, mackey, c, v):
@@ -256,7 +207,7 @@ def euler_action_free(x, mackey, c, v):
     cochain representatives.  Characters with a fixed direction kill the
     class (the Euler class of a trivial summand is zero).
     """
-    p = _prime_order(x.group)
+    p = check_prime(x.group.order)
     if mackey is None:
         mackey = MackeyCoefficients(x.group, ("F", p))
     if mackey.p != p:
@@ -310,7 +261,7 @@ def module_action(x, generator, c):
     composite a o u^-1), or "kappa" (degree-1 exterior generator,
     supported only on the built-in periodic skeleta).
     """
-    p = _prime_order(x.group)
+    p = check_prime(x.group.order)
     _require_free(x)
     try:
         name = _GENERATORS[generator]
@@ -352,7 +303,7 @@ def module_action(x, generator, c):
 
 def unit_class(x):
     """The class of 1 in grading (0, 0): the all-ones vertex cocycle."""
-    p = _prime_order(x.group)
+    p = check_prime(x.group.order)
     _require_free(x)
     q = x.quotient(drop_basepoint=x.is_based)
     ones = np.ones(q.size(0), dtype=np.int64)
@@ -376,7 +327,7 @@ class FreeSpaceCohomology:
     def __init__(self, space):
         self.space = space
         self.group = space.group
-        self.p = _prime_order(space.group)
+        self.p = check_prime(space.group.order)
         _require_free(space)
         self.quotient = space.quotient(drop_basepoint=space.is_based)
         ring = ("F", self.p)
@@ -433,7 +384,7 @@ def skeletal_range_check(x, bound):
     (p = 2), so the powers checked are those whose degree stays within
     bound; the report also states the largest k that was actually nonzero.
     """
-    p = _prime_order(x.group)
+    p = check_prime(x.group.order)
     _require_free(x)
     step = x.group.label_dim(1)
     kmax = int(bound) // step

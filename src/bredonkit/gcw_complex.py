@@ -16,11 +16,10 @@ from .errors import (
     EmptyRepresentation,
     InvariantViolation,
     MissingBasepoint,
-    NotPrime,
     ParseError,
     StabilizerMismatch,
 )
-from .exact_linalg import IntMatrix
+from .exact_linalg import IntMatrix, check_prime
 from .cyclic_reps import CyclicGroup, trivial_rep
 
 
@@ -519,7 +518,7 @@ def minimal_rep_sphere(p, q):
     cell per dimension 1 .. q*(2 for odd p, 1 for p = 2); boundaries
     alternate a - b, then g - 1, then the norm.
     """
-    group = _prime_group(p)
+    group = CyclicGroup(check_prime(p))
     top = 2 * q if p != 2 else q
     cells = [Cell("a", 0, p), Cell("b", 0, p)]
     boundary = {}
@@ -546,13 +545,6 @@ def _eid(j):
     return "e%02d" % j
 
 
-def _prime_group(p):
-    q = int(p)
-    if q < 2 or any(q % r == 0 for r in range(2, int(q ** 0.5) + 1)):
-        raise NotPrime("%r is not prime" % p)
-    return CyclicGroup(q)
-
-
 def periodic_free_model(p, top_dim):
     """Free C_p complex with one orbit cell per dimension 0 .. top_dim.
 
@@ -560,7 +552,7 @@ def periodic_free_model(p, top_dim):
     quotient is the standard one-cell-per-dimension lens-type complex with
     boundary maps alternating 0 and p.
     """
-    group = _prime_group(p)
+    group = CyclicGroup(check_prime(p))
     if top_dim < 0:
         raise ValueError("top_dim must be >= 0")
     cells = [Cell(_eid(j), j, 1) for j in range(top_dim + 1)]

@@ -19,9 +19,9 @@ from .errors import (
     NoBasepoint,
     UnsupportedGrading,
 )
-from .exact_linalg import GroupPresentation, IntMatrix, homology_at
+from .exact_linalg import (GroupPresentation, IntMatrix, check_coeff,
+                           homology_at, is_prime)
 from .cyclic_reps import (
-    RestrictedGrading,
     VirtualRep,
     canonicalize,
     trivial_rep,
@@ -29,27 +29,12 @@ from .cyclic_reps import (
 from .gcw_complex import minimal_rep_sphere, plus_point, rep_sphere, smash
 
 
-def _is_prime(n):
-    return n >= 2 and all(n % r for r in range(2, int(n ** 0.5) + 1))
-
-
-def _as_ring(module):
-    if module == "Z":
-        return "Z"
-    if isinstance(module, tuple) and len(module) == 2 and module[0] == "F":
-        p = int(module[1])
-        if not _is_prime(p):
-            raise ValueError("F_p coefficients need a prime, got %r" % (module[1],))
-        return ("F", p)
-    raise ValueError("coefficient ring must be 'Z' or ('F', p)")
-
-
 class MackeyCoefficients:
     """Constant Mackey functor: one value group at every orbit G/H."""
 
     def __init__(self, group, ring):
         self.group = group
-        self.ring = _as_ring(ring)
+        self.ring = check_coeff(ring)
 
     @property
     def p(self):
@@ -210,7 +195,7 @@ def _split_grading(x, mackey, alpha):
 def _sphere_model(v):
     """A based model of S^V; minimal two-cone-point form over prime groups."""
     n = v.group.order
-    if _is_prime(n) and set(v.mult) == {1}:
+    if is_prime(n) and set(v.mult) == {1}:
         return minimal_rep_sphere(n, v.multiplicity(1))
     return rep_sphere(v)
 
@@ -293,13 +278,6 @@ class CohomologyClass:
         return rec
 
 
-def _grading_pair(grading):
-    if isinstance(grading, RestrictedGrading):
-        return grading.m, grading.n
-    m, n = grading
-    return int(m), int(n)
-
-
 def euler_action(x, mackey, c, v):
     """Multiply the class c by the Euler class of V (grading shifts by V).
 
@@ -315,7 +293,7 @@ def euler_action(x, mackey, c, v):
     g = c.grading
     if isinstance(g, VirtualRep):
         g = canonicalize(g, p)
-    m, n = _grading_pair(g)
+    m, n = map(int, g)
     nv = sum(cc for k, cc in v.mult.items() if k != 0)
     target = (m + v.multiplicity(0), n + nv)
     if v.multiplicity(0) > 0:

@@ -22,11 +22,12 @@ import json
 from .cyclic_reps import (CyclicGroup, canonicalize, dim, format_rep, irrep,
                           reduced_regular)
 from .errors import (CertificateFailed, ContainmentFails, EmptyRepresentation,
-                     NotFree, NotPrime, WitnessVanishes)
+                     NotFree, WitnessVanishes)
+from .exact_linalg import check_prime
 from .free_space import module_action, unit_class
 from .gcw_complex import (conf2_model, ecp_skeleton, load_gcw, save_gcw,
                           sphere_of_rep)
-from .mackey_bredon import MackeyCoefficients, _is_prime, ro_graded_cohomology
+from .mackey_bredon import MackeyCoefficients, ro_graded_cohomology
 
 ENGINE_VERSION = "0.1.0"
 
@@ -39,18 +40,11 @@ ASSUMPTION_USER = (
     "configuration space is assumed, not verified")
 
 
-def _prime(p):
-    p = int(p)
-    if not _is_prime(p):
-        raise NotPrime("%r is not prime" % p)
-    return p
-
-
 def critical_exponent(p, d):
     """The Euler power that obstructs maps to S(V) for V the (d-1)-fold
     reduced regular representation: half its dimension for odd p (each
     rotation character is planar), the full dimension d-1 for p = 2."""
-    p = _prime(p)
+    p = check_prime(p)
     d = int(d)
     if d < 2:
         raise ValueError("need d >= 2, got %d" % d)
@@ -61,7 +55,7 @@ def critical_exponent(p, d):
 
 def target_rep(p, d):
     """V = (d-1) copies of the reduced regular representation of C_p."""
-    return reduced_regular(CyclicGroup(_prime(p))) * (int(d) - 1)
+    return reduced_regular(CyclicGroup(check_prime(p))) * (int(d) - 1)
 
 
 def lemma_cohsphere_check(p, v, w):
@@ -73,7 +67,7 @@ def lemma_cohsphere_check(p, v, w):
     least the number of characters in V).  Returns the computed group;
     the containment hypothesis forces it to vanish, which callers assert.
     """
-    p = _prime(p)
+    p = check_prime(p)
     group = CyclicGroup(p)
     if v.group != group or w.group != group:
         raise ValueError("V and W must be representations of C_%d" % p)
@@ -99,7 +93,7 @@ def source_witness(x, k, p):
     is inadequate as a source model for exponent k (too small a skeleton,
     or a quotient with no cohomology in the witness degree).
     """
-    p = _prime(p)
+    p = check_prime(p)
     if x.group.order != p:
         raise ValueError("source lives over C_%d, expected C_%d"
                          % (x.group.order, p))
@@ -127,7 +121,7 @@ class ObstructionProblem:
     KINDS = ("conf2-model", "surrogate-skeleton", "user-model")
 
     def __init__(self, p, d, source, kind, surrogate_m=None):
-        self.p = _prime(p)
+        self.p = check_prime(p)
         self.d = int(d)
         if self.d < 2:
             raise ValueError("need d >= 2, got %d" % self.d)
@@ -176,7 +170,7 @@ def surrogate_problem(p, d, m=None):
     """Odd-p problem on the skeletal stand-in S(m xi) of the free universal
     space; m defaults to the smallest skeleton whose dimension exceeds the
     witness degree (m = k + 1)."""
-    p = _prime(p)
+    p = check_prime(p)
     k = critical_exponent(p, d)
     if m is None:
         m = k + 1

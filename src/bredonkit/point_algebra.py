@@ -15,26 +15,12 @@ orders with two distinct prime divisors.
 
 import math
 
-from .errors import NotPrime, TrivialCharacter
-from .exact_linalg import GroupPresentation, order_in_cokernel
-from .cyclic_reps import CyclicGroup, IrrepLabel, RestrictedGrading, irrep, trivial_rep
+from .errors import TrivialCharacter
+from .exact_linalg import GroupPresentation, check_prime, order_in_cokernel
+from .cyclic_reps import CyclicGroup, IrrepLabel, irrep, trivial_rep
 from .gcw_complex import GCWComplex, based_zero_sphere, join_one_skeleton, \
     rep_sphere, sphere_of_rep
 from .mackey_bredon import BredonComplex, fixed_point_mackey, ro_graded_cohomology
-
-
-def _check_prime(p):
-    p = int(p)
-    if p < 2 or any(p % r == 0 for r in range(2, int(p ** 0.5) + 1)):
-        raise NotPrime("%r is not prime" % p)
-    return p
-
-
-def _grading(g):
-    if isinstance(g, RestrictedGrading):
-        return g.m, g.n
-    m, n = g
-    return int(m), int(n)
 
 
 def positive_label(p, m, n):
@@ -148,8 +134,8 @@ def mp_group(p, g, method="c"):
 
     method: "a" sphere-model chains, "b" Cech cochain, "c" closed form.
     """
-    p = _check_prime(p)
-    m, n = _grading(g)
+    p = check_prime(p)
+    m, n = map(int, g)
     tag = str(method).lower()
     if tag == "a":
         return _mp_sphere_models(p, m, n)

@@ -14,7 +14,11 @@ import pytest
 
 from bredonkit.cli import main
 from bredonkit.cyclic_reps import CyclicGroup, irrep
-from bredonkit.gcw_complex import free_points, save_gcw, sphere_of_rep
+from bredonkit.errors import PrimeTooLarge
+from bredonkit.exact_linalg import IntMatrix, homology_at
+from bredonkit.gcw_complex import (free_points, load_gcw, save_gcw,
+                                   sphere_of_rep)
+from bredonkit.mackey_bredon import MackeyCoefficients, bredon_cohomology
 
 _SCHEMA = json.loads(resources.files("bredonkit")
                      .joinpath("schemas/output.schema.json").read_text())
@@ -226,16 +230,40 @@ def test_output_formats(capsys):
     assert set(lines[1].replace("|", "").split()) == {"---"}
 
 
-def test_thread_env_does_not_change_output(capsys, monkeypatch):
-    argv = ["point", "--p", "5", "--m-range", "-3:3", "--n-range", "-1:1",
-            "--format", "csv"]
-    _, base, _ = run(capsys, argv)
-    monkeypatch.setenv("BREDONKIT_THREADS", "3")
-    _, threaded, _ = run(capsys, argv)
-    assert threaded == base
-    monkeypatch.setenv("BREDONKIT_THREADS", "not-a-number")
-    _, fallback, _ = run(capsys, argv)
-    assert fallback == base
+def _theta_graph(p):
+    """3 fixed vertices, 4 fixed edges over C_p: H^0 = Z, H^1 = Z^2."""
+    lines = ["group cyclic %d" % p]
+    lines += ["cell v%d dim 0 stab %d" % (i, p) for i in range(3)]
+    lines += ["cell e%d dim 1 stab %d" % (i, p) for i in range(4)]
+    ends = ((0, 1), (1, 2), (2, 0), (0, 2))
+    lines += ["bd e%d : v%d [1] ; v%d [-1]" % (i, b, a)
+              for i, (a, b) in enumerate(ends)]
+    return "\n".join(lines) + "\n"
+
+
+def test_fp_refuses_primes_past_int64(capsys, tmp_path):
+    # (p - 1)^2 >= 2^63: int64 elimination once gave 0 and F_p here
+    big = 10000000019
+    x = load_gcw(_theta_graph(big))
+    with pytest.raises(PrimeTooLarge):
+        bredon_cohomology(x, MackeyCoefficients(x.group, ("F", big)), 0)
+    with pytest.raises(PrimeTooLarge):
+        homology_at(IntMatrix.zeros(1, 1), IntMatrix.zeros(1, 1), ("F", big))
+    path = tmp_path / "theta.gcw"
+    path.write_text(_theta_graph(big))
+    for degree, want in (("0", "Z"), ("1", "Z^2")):
+        code, out, _ = run(capsys, ["space", str(path), "--grading", degree,
+                                    "--coeff", "z"])
+        assert code == 0 and rows_of(out)[0]["group"] == want
+        code, _, err = run(capsys, ["space", str(path), "--grading", degree,
+                                    "--coeff", "fp"])
+        assert code == 1 and "2^63" in err
+    # the largest primes below the bound still compute exactly
+    ok = 3037000493
+    path.write_text(_theta_graph(ok))
+    for degree, want in (("0", "F_%d" % ok), ("1", "F_%d^2" % ok)):
+        code, out, _ = run(capsys, ["space", str(path), "--grading", degree])
+        assert code == 0 and rows_of(out)[0]["group"] == want
 
 
 def test_json_payloads_validate_against_the_shipped_schema(capsys, tmp_path,

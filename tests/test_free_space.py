@@ -13,8 +13,8 @@ from bredonkit.free_space import (FreeSpaceCohomology, euler_action_free,
                                   free_cohomology, module_action,
                                   skeletal_range_check, unit_class)
 from bredonkit.gcw_complex import (GCWComplex, Cell, conf2_model, ecp_skeleton,
-                                   free_points, join, rep_sphere,
-                                   sphere_of_rep)
+                                   free_points, join, periodic_free_model,
+                                   rep_sphere, sphere_of_rep)
 from bredonkit.mackey_bredon import (CohomologyClass, MackeyCoefficients,
                                      euler_action, ro_graded_cohomology)
 
@@ -87,6 +87,27 @@ def test_euler_powers_mod_two():
         assert not c.is_zero() and c.grading == (0, k)
         assert c.vector == (1,)
     assert module_action(x, "a", c).is_zero()
+
+
+def test_euler_vectors_are_pinned():
+    # exact coordinates: the other tests check identities between classes
+    # from the same Euler step, which an error on both sides (a scaled fiber
+    # sum, say) keeps
+    cases = (
+        (sphere_of_rep(irrep(C3, 1) * 2), [(0, 0, 2, 0, 2, 0)]),
+        (sphere_of_rep(irrep(C5, 1) + irrep(C5, 2)),
+         [(0, 0, 0, 0, 4, 0, 4, 4, 4, 0)]),
+        (periodic_free_model(2, 9), [(1,)] * 9),
+    )
+    for x, vectors in cases:
+        c = unit_class(x)
+        for k, want in enumerate(vectors, start=1):
+            c = module_action(x, "a", c)
+            assert c.grading == (0, k) and c.vector == want
+        assert module_action(x, "a", c).is_zero()
+    x = ecp_skeleton(5, 3)
+    e = euler_action_free(x, None, unit_class(x), irrep(C5, 1) + irrep(C5, 2))
+    assert e.grading == (0, 2) and e.vector == (2,)
 
 
 def test_periodicity_unit_is_invertible():
