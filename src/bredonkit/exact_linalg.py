@@ -1,16 +1,16 @@
 """Exact matrix algebra over Z and F_p.
 
 Integer work (Smith normal form, integral homology, element orders in
-cokernels) is pure Python on arbitrary-precision ints.  Mod-p work is a
-separate vectorized Gaussian-elimination path on numpy int64 arrays, so
-check_coeff refuses a prime p unless (p - 1)**2 < 2**63: one product of
-two reduced entries then fits in int64.
+cokernels, the d o d checks) is pure Python on arbitrary-precision ints.
+Mod-p work is a separate vectorized Gauss-Jordan path on numpy int64
+arrays.  The cochain matrices it sees are sparse, so each pivot updates
+only the rows that are nonzero in its column, and only from that column
+on.  Every product it forms is still one of two reduced entries, so
+check_coeff refuses a prime p unless (p - 1)**2 < 2**63.
 
 Everything is a pure function on immutable-in-spirit inputs; nothing here
 keeps state between calls.
 """
-
-from math import isqrt
 
 import numpy as np
 
@@ -61,16 +61,16 @@ class IntMatrix:
         return t
 
     def mul(self, other):
+        """Exact product; only nonzero entries of either factor are touched."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
         out = IntMatrix(self.rows, other.cols)
-        bt = other.transpose().data
-        for i in range(self.rows):
-            arow = self.data[i]
-            orow = out.data[i]
-            for j in range(other.cols):
-                brow = bt[j]
-                orow[j] = sum(arow[k] * brow[k] for k in range(self.cols))
+        sparse = [[(j, x) for j, x in enumerate(row) if x] for row in other.data]
+        for arow, orow in zip(self.data, out.data):
+            for k, a in enumerate(arow):
+                if a:
+                    for j, b in sparse[k]:
+                        orow[j] += a * b
         return out
 
     def mul_vec(self, vec):
@@ -314,12 +314,44 @@ class GroupPresentation:
         return "<GroupPresentation %s>" % self.describe()
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to every base in _MR_BASES
+# (Sorenson-Webster 2017); Miller-Rabin with those bases is exact below it
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n):
-    return n >= 2 and all(n % r for r in range(2, isqrt(n) + 1))
+    """Exact primality for n < 3.3e24; raises PrimeTooLarge beyond that."""
+    if n >= _MR_LIMIT:
+        raise PrimeTooLarge("primality is decided exactly only below %d, "
+                            "got %d" % (_MR_LIMIT, n))
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def check_prime(p):
-    """p as an int; raises NotPrime unless it is prime."""
+    """p as an int; raises NotPrime unless it is prime.
+
+    p >= 3.3e24 raises PrimeTooLarge before any test (see is_prime).
+    """
     p = int(p)
     if not is_prime(p):
         raise NotPrime("%r is not prime" % p)
@@ -332,7 +364,6 @@ def check_coeff(coeff):
         return coeff
     if isinstance(coeff, tuple) and len(coeff) == 2 and coeff[0] == "F":
         p = int(coeff[1])
-        # before the primality test, whose trial division is slow for such p
         if (p - 1) ** 2 >= 2 ** 63:
             raise PrimeTooLarge("F_p needs (p - 1)^2 < 2^63 for int64 "
                                 "elimination, got p = %d" % p)
@@ -391,8 +422,8 @@ def homology_at(d_in, d_out, coeff):
     coeff = check_coeff(coeff)
     if d_in.rows != d_out.cols:
         raise ValueError("middle module size mismatch")
+    comp = d_out.mul(d_in)
     if coeff == "Z":
-        comp = d_out.mul(d_in)
         if not comp.is_zero():
             raise CompositionNotZero("d_out . d_in != 0 over Z")
         kb = kernel_basis(d_out)
@@ -412,12 +443,9 @@ def homology_at(d_in, d_out, coeff):
         tor = tuple(d for d in dec.invariant_factors if d > 1)
         return GroupPresentation.integral(k - dec.rank, tor)
     p = coeff[1]
-    a_out = d_out.to_fp(p)
-    a_in = d_in.to_fp(p)
-    if a_out.shape[0] and a_in.shape[1]:
-        if np.any((a_out @ a_in) % p):
-            raise CompositionNotZero("d_out . d_in != 0 mod %d" % p)
-    dim = d_out.cols - fp_rank(a_out, p) - fp_rank(a_in, p)
+    if any(x % p for row in comp.data for x in row):
+        raise CompositionNotZero("d_out . d_in != 0 mod %d" % p)
+    dim = d_out.cols - fp_rank(d_out.to_fp(p), p) - fp_rank(d_in.to_fp(p), p)
     return GroupPresentation.mod_p(p, dim)
 
 
@@ -425,7 +453,15 @@ def homology_at(d_in, d_out, coeff):
 # mod-p path (numpy int64)
 
 def fp_row_reduce(m, p):
-    """Reduced row echelon form mod p.  Returns (array, pivot column list)."""
+    """Reduced row echelon form mod p.  Returns (array, pivot column list).
+
+    The array is a new C-ordered int64 array with entries in [0, p).  Each
+    pivot at (r, c) updates only the rows nonzero in column c, and only
+    columns c onwards: rows r onwards are zero left of c, since every
+    earlier column either has a pivot above r or was zero from r down.
+    Each product is of two entries in [0, p), so (p - 1)**2 < 2**63 keeps
+    the arithmetic inside int64.
+    """
     a = np.array(m, dtype=np.int64) % p
     if a.ndim != 2:
         raise ValueError("need a 2-D array")
@@ -435,16 +471,23 @@ def fp_row_reduce(m, p):
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
+        nz = a[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        a = (a - np.outer(col, a[r])) % p
+            a[[r, i], c:] = a[[i, r], c:]
+        row = a[r, c:]          # a view: scaled in place
+        row *= pow(int(row[0]), p - 2, p)
+        row %= p
+        a[r, c] = 0             # hide the pivot row from the search
+        hit = a[:, c].nonzero()[0]
+        a[r, c] = 1
+        if hit.size:
+            sub = a[hit, c:]
+            sub -= sub[:, :1] * row
+            sub %= p
+            a[hit, c:] = sub
         pivots.append(c)
         r += 1
     return a, pivots

@@ -106,7 +106,7 @@ def test_criterion_4_target_sphere_groups_all_vanish():
     return "%d (V, W) pairs, every containing-grading group is zero" % checked
 
 
-@criterion(5)
+@criterion(5, budget=12.0)
 def test_criterion_5_truncated_free_sphere_table():
     checked = 0
     for p in (3, 5):
@@ -128,7 +128,7 @@ def test_criterion_5_truncated_free_sphere_table():
     return "one dimension per degree class through 2m-2 (%d graded reads)" % checked
 
 
-@criterion(6)
+@criterion(6, budget=5.0)
 def test_criterion_6_euler_operator_identity_and_threshold():
     for p in (3, 5):
         group = CyclicGroup(p)

@@ -7,6 +7,7 @@ the rendered payload, exactly as a shell user would see them.
 import csv
 import io
 import json
+import time
 from importlib import resources
 
 import jsonschema
@@ -264,6 +265,22 @@ def test_fp_refuses_primes_past_int64(capsys, tmp_path):
     for degree, want in (("0", "F_%d" % ok), ("1", "F_%d^2" % ok)):
         code, out, _ = run(capsys, ["space", str(path), "--grading", degree])
         assert code == 0 and rows_of(out)[0]["group"] == want
+
+
+def test_point_refuses_huge_primes_quickly(capsys):
+    # 2^61 - 1 is prime, but past the int64 bound of F_p elimination
+    argv = ["point", "--p", str(2 ** 61 - 1), "--m-range", "0:0",
+            "--n-range", "0:0"]
+    start = time.perf_counter()
+    code, _, err = run(capsys, argv)
+    assert time.perf_counter() - start < 2.0
+    assert code == 1 and "2^63" in err
+    code, out, _ = run(capsys, argv + ["--coeff", "z"])
+    assert code == 0 and rows_of(out)[0]["group"] == "Z"
+    # past the range where primality is decided exactly
+    code, _, err = run(capsys, ["point", "--p", str(2 ** 89 - 1),
+                                "--m-range", "0:0", "--n-range", "0:0"])
+    assert code == 1 and "exactly" in err
 
 
 def test_json_payloads_validate_against_the_shipped_schema(capsys, tmp_path,

@@ -2,26 +2,30 @@
 
 The SNF oracle used here is independent of the implementation: the product
 d_1 * ... * d_k of the first k invariant factors equals the gcd of all k x k
-minors (determinantal divisors), computed by brute force.
+minors (determinantal divisors), computed by brute force.  The mod-p oracle
+is a dense Gauss-Jordan that rewrites the whole matrix on every pivot.
 """
 
 import random
 from itertools import combinations
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
 
-from bredonkit.errors import CompositionNotZero
+from bredonkit import exact_linalg
+from bredonkit.errors import CompositionNotZero, PrimeTooLarge
 from bredonkit.exact_linalg import (
     GroupPresentation,
     IntMatrix,
+    check_prime,
     fp_in_span,
     fp_nullspace,
     fp_rank,
     fp_row_reduce,
     fp_solve,
     homology_at,
+    is_prime,
     kernel_basis,
     order_in_cokernel,
     snf,
@@ -198,6 +202,29 @@ def test_homology_composition_check():
         homology_at(d_in, d_out, ("F", 5))
 
 
+def test_homology_mod_p_checks_d_d_exactly():
+    # (p-1)^2 + (p-1)^2 + 2(p-1) = 2p(p-1) is 0 mod p, but its int64 sum wraps
+    p = 3037000493
+    d_in = IntMatrix.from_rows([[p - 1], [p - 1], [2]])
+    d_out = IntMatrix.from_rows([[p - 1, p - 1, p - 1]])
+    assert homology_at(d_in, d_out, ("F", p)) == GroupPresentation.mod_p(p, 1)
+    with pytest.raises(CompositionNotZero):
+        homology_at(d_in, d_out, "Z")
+
+
+def test_mul_matches_the_definition():
+    rng = random.Random(5)
+    for _ in range(40):
+        n, k, m = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
+        a = IntMatrix(n, k, [[rng.choice((0, 0, rng.randint(-9, 9)))
+                              for _ in range(k)] for _ in range(n)])
+        b = IntMatrix(k, m, [[rng.choice((0, 0, rng.randint(-9, 9)))
+                              for _ in range(m)] for _ in range(k)])
+        want = [[sum(a.data[i][t] * b.data[t][j] for t in range(k))
+                 for j in range(m)] for i in range(n)]
+        assert a.mul(b) == IntMatrix(n, m, want)
+
+
 def test_homology_torsion_and_rank():
     # Z^2 --diag(2,0)--> Z^2 --0--> 0: H = Z/2 + Z
     d_in = IntMatrix.from_rows([[2, 0], [0, 0]])
@@ -245,3 +272,127 @@ def test_group_presentation_validation():
     assert GroupPresentation.mod_p(3, 2).describe() == "F_3^2"
     assert GroupPresentation.mod_p(3, 1) != GroupPresentation.mod_p(5, 1)
     assert GroupPresentation.integral(0) != GroupPresentation.mod_p(3, 0)
+
+
+def test_is_prime_agrees_with_trial_division():
+    for n in range(10 ** 5):
+        want = n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))
+        assert is_prime(n) == want, n
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime base
+    # up to 31
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2 ** 61 - 1) and is_prime(2 ** 31 - 1)
+    assert is_prime(3037000493) and not is_prime(3037000453 * 3037000507)
+
+
+def test_check_prime_refuses_past_the_exact_range():
+    limit = 3317044064679887385961981      # composite; passes bases 2 ... 41
+    for n in (limit, 2 ** 89 - 1):
+        with pytest.raises(PrimeTooLarge):
+            check_prime(n)
+    assert check_prime(2 ** 61 - 1) == 2 ** 61 - 1
+
+
+# ---------------------------------------------------------------------------
+# mod-p elimination against the dense oracle
+
+def dense_row_reduce(m, p):
+    """Gauss-Jordan mod p that rewrites every row and column on each pivot."""
+    a = np.array(m, dtype=np.int64) % p
+    if a.ndim != 2:
+        raise ValueError("need a 2-D array")
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        a[r] = (a[r] * pow(int(a[r, c]), p - 2, p)) % p
+        col = a[:, c].copy()
+        col[r] = 0
+        a = (a - np.outer(col, a[r])) % p
+        pivots.append(c)
+        r += 1
+    return a, pivots
+
+
+DIFF_PRIMES = (2, 3, 5, 7, 11, 3037000493)
+
+
+def _random_matrix(rng, p, rows, cols, density):
+    """Raw entries in [-3p, 3p), so negative and >= p; zero off the support."""
+    vals = rng.integers(-3 * p, 3 * p, size=(rows, cols), dtype=np.int64)
+    return np.where(rng.random((rows, cols)) < density, vals, 0)
+
+
+def differential_cases():
+    """(label, matrix, p) over shapes, densities and primes, from one seed."""
+    rng = np.random.default_rng(20261018)
+    for p in DIFF_PRIMES:
+        yield "0x5", np.zeros((0, 5), dtype=np.int64), p
+        yield "5x0", np.zeros((5, 0), dtype=np.int64), p
+        yield "1x1", _random_matrix(rng, p, 1, 1, 1.0), p
+        yield "1x1 zero", np.zeros((1, 1), dtype=np.int64), p
+        yield "zero", np.zeros((7, 9), dtype=np.int64), p
+        for density in (0.01, 0.03, 0.05):
+            yield "tall sparse", _random_matrix(rng, p, 90, 40, density), p
+            yield "wide sparse", _random_matrix(rng, p, 40, 90, density), p
+            yield "square sparse", _random_matrix(rng, p, 70, 70, density), p
+        yield "tall dense", _random_matrix(rng, p, 12, 5, 1.0), p
+        yield "wide dense", _random_matrix(rng, p, 5, 12, 1.0), p
+        yield "square dense", _random_matrix(rng, p, 9, 9, 0.6), p
+        # rank deficient: a product through a thin middle, reduced exactly
+        left = rng.integers(0, p, size=(15, 4)).astype(object)
+        right = rng.integers(0, p, size=(4, 11)).astype(object)
+        low = ((left @ right) % p).astype(np.int64)
+        yield "rank 4", low - p * rng.integers(-2, 3, size=low.shape), p
+
+
+def test_fp_row_reduce_matches_dense_oracle():
+    for label, m, p in differential_cases():
+        got, got_piv = fp_row_reduce(m, p)
+        want, want_piv = dense_row_reduce(m, p)
+        assert got_piv == want_piv, (label, p)
+        assert got.dtype == want.dtype and got.shape == want.shape, (label, p)
+        assert got.tobytes() == want.tobytes(), (label, p)
+        if label == "rank 4":
+            assert len(got_piv) <= 4
+
+
+def test_fp_solve_and_nullspace_match_dense_oracle(monkeypatch):
+    rng = np.random.default_rng(7)
+    runs = []
+    for label, m, p in differential_cases():
+        rows, cols = m.shape
+        x = rng.integers(0, p, size=cols).astype(object)
+        reachable = ((m.astype(object) @ x) % p).astype(np.int64)
+        loose = rng.integers(-p, 2 * p, size=rows, dtype=np.int64)
+        runs.append((label, m, p, reachable, loose))
+
+    def results():
+        out = []
+        for label, m, p, reachable, loose in runs:
+            out.append((fp_solve(m, reachable, p), fp_solve(m, loose, p),
+                        fp_nullspace(m, p)))
+        return out
+
+    got = results()
+    monkeypatch.setattr(exact_linalg, "fp_row_reduce", dense_row_reduce)
+    want = results()
+    for (label, m, p, _, _), g, w in zip(runs, got, want):
+        assert g[0] is not None, (label, p)
+        for a, b in zip(g, w):
+            assert (a is None) == (b is None), (label, p)
+            if a is not None:
+                assert a.dtype == b.dtype and a.shape == b.shape, (label, p)
+                assert a.tobytes() == b.tobytes(), (label, p)
