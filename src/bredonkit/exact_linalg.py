@@ -2,6 +2,8 @@
 
 Integer work (Smith normal form, integral homology, element orders in
 cokernels, the d o d checks) is pure Python on arbitrary-precision ints.
+Integral homology runs at most three SNFs at any size: the kernel basis of d_out,
+one solve_integral for all image columns, and the relation matrix.
 Mod-p work is a separate vectorized Gauss-Jordan path on numpy int64
 arrays.  The cochain matrices it sees are sparse, so each pivot updates
 only the rows that are nonzero in its column, and only from that column
@@ -77,9 +79,6 @@ class IntMatrix:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         return [sum(row[k] * vec[k] for k in range(self.cols)) for row in self.data]
-
-    def column(self, j):
-        return [self.data[i][j] for i in range(self.rows)]
 
     def is_zero(self):
         return all(x == 0 for row in self.data for x in row)
@@ -374,33 +373,36 @@ def check_coeff(coeff):
 def kernel_basis(m):
     """Integral basis of ker(m) as columns of an IntMatrix (saturated lattice)."""
     dec = snf(m)
-    r = dec.rank
-    cols = [dec.right.column(j) for j in range(r, m.cols)]
-    k = IntMatrix(m.cols, len(cols))
-    for j, col in enumerate(cols):
-        for i in range(m.cols):
-            k.data[i][j] = col[i]
-    return k
+    return IntMatrix(m.cols, m.cols - dec.rank,
+                     [row[dec.rank:] for row in dec.right.data])
 
 
 def solve_integral(a, b):
-    """One integer solution x of a.x = b, or None."""
+    """Integer matrix x with a.x = b (all columns at once), or None."""
     dec = snf(a)
-    w = dec.left.mul_vec(b)
-    y = [0] * a.cols
-    for i in range(a.rows):
-        if i < len(dec.diag) and dec.diag[i] != 0:
-            if w[i] % dec.diag[i]:
+    w = dec.left.mul(b)
+    y = IntMatrix(a.cols, b.cols)
+    for i, row in enumerate(w.data):
+        d = dec.diag[i] if i < len(dec.diag) else 0
+        if d == 0:
+            if any(row):
                 return None
-            y[i] = w[i] // dec.diag[i]
-        elif w[i] != 0:
+        elif any(x % d for x in row):
             return None
-    return dec.right.mul_vec(y)
+        else:
+            y.data[i] = [x // d for x in row]
+    return dec.right.mul(y)
 
 
 def order_in_cokernel(v, a):
-    """Order of the class of v in Z^rows / column-span(a); None if infinite."""
+    """Order of the class of v in Z^rows / column-span(a); None if infinite.
+
+    Only the distinct nonzero columns of a are reduced: they span the same
+    lattice, and the order of [v] does not depend on the presentation.
+    """
     from math import gcd, lcm
+    cols = [c for c in dict.fromkeys(zip(*a.data)) if any(c)]
+    a = IntMatrix(len(cols), a.rows, cols).transpose()
     dec = snf(a)
     w = dec.left.mul_vec(v)
     order = 1
@@ -427,21 +429,16 @@ def homology_at(d_in, d_out, coeff):
         if not comp.is_zero():
             raise CompositionNotZero("d_out . d_in != 0 over Z")
         kb = kernel_basis(d_out)
-        k = kb.cols
-        if k == 0:
+        if kb.cols == 0:
             return GroupPresentation.integral(0)
-        # rewrite each image column in kernel coordinates (always possible:
-        # the SNF kernel basis spans the saturated kernel lattice)
-        rel = IntMatrix(k, d_in.cols)
-        for j in range(d_in.cols):
-            x = solve_integral(kb, d_in.column(j))
-            if x is None:
-                raise CompositionNotZero("image column escapes the kernel lattice")
-            for i in range(k):
-                rel.data[i][j] = x[i]
+        # the image in kernel coordinates (always solvable: the SNF kernel
+        # basis spans the saturated kernel lattice)
+        rel = solve_integral(kb, d_in)
+        if rel is None:
+            raise CompositionNotZero("image column escapes the kernel lattice")
         dec = snf(rel)
         tor = tuple(d for d in dec.invariant_factors if d > 1)
-        return GroupPresentation.integral(k - dec.rank, tor)
+        return GroupPresentation.integral(kb.cols - dec.rank, tor)
     p = coeff[1]
     if any(x % p for row in comp.data for x in row):
         raise CompositionNotZero("d_out . d_in != 0 mod %d" % p)

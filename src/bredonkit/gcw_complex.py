@@ -125,9 +125,6 @@ class GCWComplex:
         out.sort(key=lambda c: c.id)
         return out
 
-    def orbit_size(self, cid):
-        return self.group.order // self.by_id[cid].stab
-
     def boundary_of(self, cid):
         return self.boundary.get(cid, ())
 

@@ -8,7 +8,7 @@ is a dense Gauss-Jordan that rewrites the whole matrix on every pivot.
 
 import random
 from itertools import combinations
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import numpy as np
 import pytest
@@ -153,12 +153,22 @@ def test_snf_deterministic():
 def test_kernel_and_solve():
     m = IntMatrix.from_rows([[1, 2, 3], [2, 4, 6]])
     k = kernel_basis(m)
-    assert k.cols == 2
-    for j in range(k.cols):
-        assert all(x == 0 for x in m.mul_vec(k.column(j)))
-    assert solve_integral(m, [1, 2]) is not None
-    assert solve_integral(m, [1, 3]) is None
-    assert solve_integral(IntMatrix.from_rows([[2]]), [3]) is None
+    assert k.cols == 2 and m.mul(k).is_zero()
+    assert snf(k).invariant_factors == (1, 1)          # saturated
+    assert kernel_basis(IntMatrix.identity(2)).cols == 0
+    b = IntMatrix.from_rows([[1, 0, -5], [2, 0, -10]])
+    x = solve_integral(m, b)
+    assert (x.rows, x.cols) == (3, 3) and m.mul(x) == b
+    # one unsolvable column among solvable ones
+    assert solve_integral(m, IntMatrix.from_rows([[1, 1, 0], [2, 3, 0]])) is None
+    assert solve_integral(IntMatrix.from_rows([[2]]),
+                          IntMatrix.from_rows([[4, 3, 2]])) is None
+    x = solve_integral(IntMatrix.from_rows([[2], [0]]),
+                       IntMatrix.from_rows([[4, -6], [0, 0]]))
+    assert x == IntMatrix.from_rows([[2, -3]])
+    # no right-hand sides
+    x = solve_integral(m, IntMatrix.zeros(2, 0))
+    assert (x.rows, x.cols) == (3, 0)
 
 
 def test_order_in_cokernel():
@@ -396,3 +406,136 @@ def test_fp_solve_and_nullspace_match_dense_oracle(monkeypatch):
             if a is not None:
                 assert a.dtype == b.dtype and a.shape == b.shape, (label, p)
                 assert a.tobytes() == b.tobytes(), (label, p)
+
+
+# ---------------------------------------------------------------------------
+# integral path against the per-column route, and Z against F_p
+
+def full_snf_order(v, a):
+    """Order of [v] in coker(a) from an SNF of the whole matrix a."""
+    dec = snf(a)
+    w = dec.left.mul_vec(v)
+    order = 1
+    for i in range(a.rows):
+        d = dec.diag[i] if i < len(dec.diag) else 0
+        if d == 0:
+            if w[i]:
+                return None
+        elif w[i] % d:
+            order = lcm(order, d // gcd(d, w[i]))
+    return order
+
+
+def test_order_in_cokernel_ignores_zero_and_repeated_columns():
+    rng = random.Random(404)
+    cases = [IntMatrix.zeros(3, 4), IntMatrix.zeros(3, 0), IntMatrix.zeros(0, 2)]
+    for _ in range(60):
+        rows = rng.randint(1, 4)
+        base = [[rng.randint(-6, 6) for _ in range(rows)]
+                for _ in range(rng.randint(0, 3))]
+        cols = [rng.choice(base) if base and rng.random() < 0.7 else [0] * rows
+                for _ in range(rng.randint(0, 8))]
+        cases.append(IntMatrix(len(cols), rows, cols).transpose())
+    for a in cases:
+        for _ in range(3):
+            v = [rng.randint(-6, 6) for _ in range(a.rows)]
+            assert order_in_cokernel(v, a) == full_snf_order(v, a), (a, v)
+
+
+def per_column_homology_z(d_in, d_out):
+    """ker(d_out) / im(d_in) over Z with one SNF of the kernel basis per
+    image column: kernel columns copied one at a time, each column of d_in
+    solved on its own."""
+    dec = snf(d_out)
+    kb = IntMatrix(d_out.cols, d_out.cols - dec.rank)
+    for j in range(kb.cols):
+        for i in range(kb.rows):
+            kb.data[i][j] = dec.right.data[i][dec.rank + j]
+    if kb.cols == 0:
+        return GroupPresentation.integral(0), kb
+    rel = IntMatrix(kb.cols, d_in.cols)
+    for j in range(d_in.cols):
+        col = [d_in.data[i][j] for i in range(d_in.rows)]
+        sol = snf(kb)
+        w = sol.left.mul_vec(col)
+        y = [0] * kb.cols
+        for i in range(kb.rows):
+            d = sol.diag[i] if i < len(sol.diag) else 0
+            assert (w[i] % d == 0) if d else w[i] == 0
+            if d:
+                y[i] = w[i] // d
+        for i, x in enumerate(sol.right.mul_vec(y)):
+            rel.data[i][j] = x
+    red = snf(rel)
+    tor = tuple(d for d in red.invariant_factors if d > 1)
+    return GroupPresentation.integral(kb.cols - red.rank, tor), rel
+
+
+def cochain_complexes():
+    """(label, ds) with ds[i+1] . ds[i] = 0, in cochain order: group i is
+    homology_at(ds[i], ds[i+1]), and chain complexes run from the top down."""
+    from bredonkit.cyclic_reps import CyclicGroup, irrep
+    from bredonkit.gcw_complex import plus_point, rep_sphere, smash, sphere_of_rep
+    from bredonkit.mackey_bredon import BredonComplex, fixed_point_mackey
+    rng = random.Random(20261018)
+    for n in range(2, 7):
+        g = CyclicGroup(n)
+        labels = g.nontrivial_labels()
+        k1, k2 = rng.choice(labels), rng.choice(labels)
+        models = [
+            ("S(xi^%d+xi^%d)" % (k1, k2), sphere_of_rep(irrep(g, k1) + irrep(g, k2))),
+            ("S^(xi^%d)" % k1, rep_sphere(irrep(g, k1))),
+            ("S^(xi^%d+1)" % k2, rep_sphere(irrep(g, k2) + irrep(g, 0))),
+            ("S^(xi^%d) ^ S(xi^%d)_+" % (k1, k2),
+             smash(rep_sphere(irrep(g, k1)), plus_point(sphere_of_rep(irrep(g, k2))))),
+        ]
+        for name, x in models:
+            for reduced in (False, True):
+                if reduced and not x.is_based:
+                    continue
+                b = BredonComplex(x, fixed_point_mackey("Z", g), reduced=reduced)
+                tag = "C_%d %s%s" % (n, name, " reduced" if reduced else "")
+                yield tag + " cochains", [b.cochain_matrix(k)
+                                          for k in range(-1, b.dim + 1)]
+                yield tag + " chains", [b.boundary_matrix(k)
+                                        for k in range(b.dim + 1, -1, -1)]
+    # d_in = kernel_basis(a) . b: image of any index inside ker(a), so torsion
+    for _ in range(40):
+        r, c, m = rng.randint(1, 5), rng.randint(1, 6), rng.randint(0, 5)
+        a = IntMatrix(r, c, [[rng.choice((0, rng.randint(-4, 4))) for _ in range(c)]
+                             for _ in range(r)])
+        kb = kernel_basis(a)
+        b = IntMatrix(kb.cols, m, [[rng.choice((0, 0, rng.randint(-6, 6)))
+                                    for _ in range(m)] for _ in range(kb.cols)])
+        yield "random %dx%d" % (r, c), [IntMatrix.zeros(m, 0), kb.mul(b), a,
+                                        IntMatrix.zeros(0, r)]
+
+
+def test_homology_z_matches_per_column_route():
+    pairs = torsion = 0
+    for label, ds in cochain_complexes():
+        for d_in, d_out in zip(ds, ds[1:]):
+            want, want_rel = per_column_homology_z(d_in, d_out)
+            assert homology_at(d_in, d_out, "Z") == want, label
+            kb = kernel_basis(d_out)
+            if kb.cols:
+                assert solve_integral(kb, d_in) == want_rel, label
+            pairs += 1
+            torsion += bool(want.torsion)
+    assert pairs > 200 and torsion > 20
+
+
+def test_universal_coefficients_between_z_and_fp():
+    def t(p, group):
+        return sum(1 for d in group.torsion if d % p == 0)
+
+    checked = 0
+    for label, ds in cochain_complexes():
+        hz = [homology_at(a, b, "Z") for a, b in zip(ds, ds[1:])]
+        hz.append(GroupPresentation.integral(0))
+        for p in (2, 3, 5):
+            for k, (a, b) in enumerate(zip(ds, ds[1:])):
+                want = hz[k].rank + t(p, hz[k]) + t(p, hz[k + 1])
+                assert homology_at(a, b, ("F", p)).dim == want, (label, k, p)
+                checked += 1
+    assert checked > 600
