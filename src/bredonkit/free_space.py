@@ -67,7 +67,7 @@ class _FiberModel:
         self.edge_word = tuple(edge_word) if edge_word is not None else None
         q = x.quotient(drop_basepoint=x.is_based)
         self.q = q
-        self.ids = [list(layer) for layer in q.layers]
+        self.ids = q.layers
         index = [{cid: i for i, cid in enumerate(layer)} for layer in self.ids]
         # equivariant boundary words per kept cell: (target index, pos, coeff)
         self.words = {}
@@ -96,10 +96,8 @@ class _FiberModel:
     # -- structure matrices (all act on cochain vectors mod p) ------------
 
     def dbmat(self, s):
-        """delta_B: B^s -> B^(s+1), the transposed quotient boundary."""
-        m = self.q.boundary(s + 1)
-        return np.array(m.data, dtype=np.int64).reshape(self.bsize(s),
-                                                        self.bsize(s + 1)).T % self.p
+        """delta_B: B^s -> B^(s+1), the quotient coboundary."""
+        return self.q.coboundary(s).to_fp(self.p)
 
     def demat(self, s):
         """delta_E: E^s -> E^(s+1) for the total-space quotient."""
@@ -307,8 +305,7 @@ def unit_class(x):
     _require_free(x)
     q = x.quotient(drop_basepoint=x.is_based)
     ones = np.ones(q.size(0), dtype=np.int64)
-    d1 = np.array(q.boundary(1).data, dtype=np.int64).reshape(q.size(0), -1)
-    if np.any(d1.T @ ones % p):
+    if np.any(q.coboundary(0).to_fp(p) @ ones % p):
         raise InvariantViolation("quotient edges do not have augmentation-zero "
                                  "boundary; no canonical unit")
     home = q.cohomology(0, ("F", p))

@@ -8,6 +8,9 @@ target's stabilizer).  Constructors cover unit spheres of representations
 compactifications, minimal two-cone-point sphere models, free periodic
 models (lens-type skeleta), smashes, joins and quotients, plus a
 line-oriented text format for ingestion of hand-built complexes.
+
+Dense boundary matrices (quotient, expand, the Bredon (co)chains) are all
+built by PlainComplex from the terms of each differential, on demand.
 """
 
 from math import gcd
@@ -19,7 +22,7 @@ from .errors import (
     ParseError,
     StabilizerMismatch,
 )
-from .exact_linalg import IntMatrix, check_prime
+from .exact_linalg import IntMatrix, check_prime, homology_at
 from .cyclic_reps import CyclicGroup, trivial_rep
 
 
@@ -117,14 +120,6 @@ class GCWComplex:
     def is_based(self):
         return self.basepoint is not None
 
-    def cells_of_dim(self, k, reduced=False):
-        """Orbit cells of dimension k in lexicographic id order."""
-        out = [c for c in self.cells if c.dim == k]
-        if reduced and self.basepoint is not None:
-            out = [c for c in out if c.id != self.basepoint]
-        out.sort(key=lambda c: c.id)
-        return out
-
     def boundary_of(self, cid):
         return self.boundary.get(cid, ())
 
@@ -163,46 +158,34 @@ class GCWComplex:
 
     def quotient(self, drop_basepoint=False):
         """Orbit CW complex X/G: one cell per orbit, boundary by augmentation."""
-        def keep(c):
-            return not (drop_basepoint and c.id == self.basepoint)
-        layers = [[c.id for c in self.cells_of_dim(k) if keep(c)]
-                  for k in range(self.dim + 1)]
-        mats = []
-        for k in range(1, self.dim + 1):
-            index = {cid: i for i, cid in enumerate(layers[k - 1])}
-            m = IntMatrix(len(layers[k - 1]), len(layers[k]))
-            for j, cid in enumerate(layers[k]):
+        layers = [[] for _ in range(self.dim + 1)]
+        for c in sorted(self.cells, key=lambda c: c.id):
+            if not (drop_basepoint and c.id == self.basepoint):
+                layers[c.dim].append(c.id)
+
+        def terms(k):
+            for cid in layers[k]:
                 for tid, word in self.boundary_of(cid):
-                    if tid in index:
-                        m.data[index[tid]][j] += sum(word)
-            mats.append(m)
-        return PlainComplex(layers, mats)
+                    yield tid, cid, sum(word)
+        return PlainComplex(layers, terms)
 
     def expand(self):
         """Underlying non-equivariant CW complex (every translate a cell)."""
         n = self.group.order
-        layers = []
-        for k in range(self.dim + 1):
-            layer = []
-            for c in self.cells_of_dim(k):
-                layer.extend("%s@%d" % (c.id, i) for i in range(n // c.stab))
-            layers.append(layer)
-        mats = []
-        for k in range(1, self.dim + 1):
-            index = {cid: i for i, cid in enumerate(layers[k - 1])}
-            m = IntMatrix(len(layers[k - 1]), len(layers[k]))
-            col = 0
-            for c in self.cells_of_dim(k):
-                for i in range(n // c.stab):
-                    for tid, word in self.boundary_of(c.id):
-                        sz = n // self.by_id[tid].stab
-                        for a, coeff in enumerate(word):
-                            if coeff:
-                                row = index["%s@%d" % (tid, (i + a) % sz)]
-                                m.data[row][col] += coeff
-                    col += 1
-            mats.append(m)
-        return PlainComplex(layers, mats)
+        size = {c.id: n // c.stab for c in self.cells}
+        orbits = self.quotient().layers
+        layers = [["%s@%d" % (cid, i) for cid in layer for i in range(size[cid])]
+                  for layer in orbits]
+
+        def terms(k):
+            for cid in orbits[k]:
+                for tid, word in self.boundary_of(cid):
+                    for a, coeff in enumerate(word):
+                        if coeff:
+                            for i in range(size[cid]):
+                                yield ("%s@%d" % (tid, (i + a) % size[tid]),
+                                       "%s@%d" % (cid, i), coeff)
+        return PlainComplex(layers, terms)
 
     def verify_dd(self):
         """Check that the equivariant boundary squares to zero (exact, over Z).
@@ -234,11 +217,19 @@ class GCWComplex:
 
 
 class PlainComplex:
-    """Non-equivariant chain data: cell ids per dimension, integer boundaries."""
+    """Non-equivariant chain data: cell ids per dimension, integer boundaries.
 
-    def __init__(self, layers, boundaries):
-        self.layers = [list(l) for l in layers]
-        self._bd = list(boundaries)
+    terms(k) yields (row id, column id, coeff) for d_k : C_k -> C_(k-1);
+    coefficients at one position add up, and rows outside layer k-1 (a
+    dropped basepoint) are skipped.  Each dense matrix is built from its
+    terms the first time it is asked for, in the orientation asked for,
+    and kept; callers must not mutate it.
+    """
+
+    def __init__(self, layers, terms):
+        self.layers = layers
+        self._terms = terms
+        self._built = {}
 
     @property
     def dim(self):
@@ -254,18 +245,36 @@ class PlainComplex:
 
     def boundary(self, k):
         """d_k : C_k -> C_(k-1); zero-shaped matrix outside the support."""
+        return self._matrix(k, False)
+
+    def coboundary(self, k):
+        """delta^k : C^k -> C^(k+1), the transpose of d_(k+1)."""
+        return self._matrix(k + 1, True)
+
+    def _matrix(self, k, transposed):
+        m = self._built.get((k, transposed))
+        if m is not None:
+            return m
+        rows, cols = self.size(k - 1), self.size(k)
+        m = IntMatrix(cols, rows) if transposed else IntMatrix(rows, cols)
         if 1 <= k <= self.dim:
-            return self._bd[k - 1]
-        return IntMatrix.zeros(self.size(k - 1), self.size(k))
+            rindex = {cid: i for i, cid in enumerate(self.layers[k - 1])}
+            cindex = {cid: j for j, cid in enumerate(self.layers[k])}
+            for tid, cid, coeff in self._terms(k):
+                i = rindex.get(tid)
+                if i is not None:
+                    if transposed:
+                        m.data[cindex[cid]][i] += coeff
+                    else:
+                        m.data[i][cindex[cid]] += coeff
+        self._built[k, transposed] = m
+        return m
 
     def homology(self, k, coeff):
-        from .exact_linalg import homology_at
         return homology_at(self.boundary(k + 1), self.boundary(k), coeff)
 
     def cohomology(self, k, coeff):
-        from .exact_linalg import homology_at
-        return homology_at(self.boundary(k).transpose(),
-                           self.boundary(k + 1).transpose(), coeff)
+        return homology_at(self.coboundary(k - 1), self.coboundary(k), coeff)
 
 
 # ---------------------------------------------------------------------------

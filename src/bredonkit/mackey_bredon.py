@@ -9,6 +9,9 @@ identity, transfers multiply by the subgroup index.  Chain level:
   cochain differential entry:
       aug(w)                        (restriction is the identity)
 
+so the (reduced) Bredon cochains are the cochains of the orbit space X/G
+(basepoint orbit dropped): BredonComplex reads them from x.quotient().
+
 Graded queries H~^(m + n.xi) are answered by reduction: n = 0 directly,
 n < 0 by suspending the space, n > 0 by point-space duality (for the
 two-point sphere) or by quotient periodicity (for free complexes mod p).
@@ -19,14 +22,14 @@ from .errors import (
     NoBasepoint,
     UnsupportedGrading,
 )
-from .exact_linalg import (GroupPresentation, IntMatrix, check_coeff,
-                           homology_at, is_prime)
+from .exact_linalg import GroupPresentation, check_coeff, homology_at, is_prime
 from .cyclic_reps import (
     VirtualRep,
     canonicalize,
     trivial_rep,
 )
-from .gcw_complex import minimal_rep_sphere, plus_point, rep_sphere, smash
+from .gcw_complex import (PlainComplex, minimal_rep_sphere, plus_point,
+                          rep_sphere, smash)
 
 
 class MackeyCoefficients:
@@ -80,7 +83,8 @@ class BredonComplex:
     """Equivariant (co)chain complex of a GCWComplex with constant coefficients.
 
     One basis vector per orbit cell (lexicographic id order per dimension);
-    the reduced flavor omits the basepoint orbit in every degree.
+    the reduced flavor omits the basepoint orbit in every degree.  The
+    chains weight each orbit augmentation by the transfer h_t / h_c.
     """
 
     def __init__(self, x, mackey, reduced=False):
@@ -91,8 +95,15 @@ class BredonComplex:
         self.space = x
         self.mackey = mackey
         self.reduced = reduced
-        self.bases = [[c.id for c in x.cells_of_dim(k, reduced=reduced)]
-                      for k in range(x.dim + 1)]
+        self.orbits = x.quotient(drop_basepoint=reduced)
+        self.bases = bases = self.orbits.layers
+
+        def transfer_terms(k):
+            for cid in bases[k]:
+                hc = x.by_id[cid].stab
+                for tid, word in x.boundary_of(cid):
+                    yield tid, cid, sum(word) * (x.by_id[tid].stab // hc)
+        self.chains = PlainComplex(bases, transfer_terms)
 
     @property
     def dim(self):
@@ -105,29 +116,11 @@ class BredonComplex:
 
     def boundary_matrix(self, k):
         """Homology differential d_k : C_k -> C_(k-1), transfer-weighted."""
-        rows, cols = self.basis(k - 1), self.basis(k)
-        index = {cid: i for i, cid in enumerate(rows)}
-        m = IntMatrix(len(rows), len(cols))
-        x = self.space
-        for j, cid in enumerate(cols):
-            hc = x.by_id[cid].stab
-            for tid, word in x.boundary_of(cid):
-                if tid in index:
-                    weight = x.by_id[tid].stab // hc
-                    m.data[index[tid]][j] += sum(word) * weight
-        return m
+        return self.chains.boundary(k)
 
     def cochain_matrix(self, k):
         """Cochain differential delta^k : C^k -> C^(k+1), restriction-weighted."""
-        rows, cols = self.basis(k + 1), self.basis(k)
-        index = {cid: j for j, cid in enumerate(cols)}
-        m = IntMatrix(len(rows), len(cols))
-        x = self.space
-        for i, cid in enumerate(rows):
-            for tid, word in x.boundary_of(cid):
-                if tid in index:
-                    m.data[i][index[tid]] += sum(word)
-        return m
+        return self.orbits.coboundary(k)
 
     def homology(self, k):
         return homology_at(self.boundary_matrix(k + 1), self.boundary_matrix(k),
@@ -225,8 +218,7 @@ def ro_graded_cohomology(x, mackey, alpha):
     p = mackey.p
     if p is not None and p == x.group.order and xb.is_free():
         shift = sum(c * x.group.label_dim(k) for k, c in pos.mult.items())
-        q = xb.quotient(drop_basepoint=True)
-        return q.cohomology(m + shift, mackey.ring)
+        return bredon_cohomology(xb, mackey, m + shift, reduced=True)
     raise UnsupportedGrading(
         "positive sphere grading needs the two-point sphere or a free complex mod p")
 
