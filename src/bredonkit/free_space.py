@@ -32,8 +32,8 @@ from .mackey_bredon import (CohomologyClass, MackeyCoefficients,
 def _require_free(x):
     fid = x.first_fixed_cell(ignore_basepoint=True)
     if fid is not None:
-        stab = next(c.stab for c in x.cells if c.id == fid)
-        raise NotFree("cell %r has stabilizer of order %d" % (fid, stab))
+        raise NotFree("cell %r has stabilizer of order %d"
+                      % (fid, x.by_id[fid].stab))
 
 
 def _normal_form(u, db_prev, p):

@@ -14,6 +14,7 @@ built by PlainComplex from the terms of each differential, on demand.
 """
 
 from math import gcd
+from operator import itemgetter
 
 from .errors import (
     EmptyRepresentation,
@@ -45,8 +46,23 @@ class Cell:
         return hash((self.id, self.dim, self.stab))
 
 
+def _sum_words(cid, tid, w1, w2):
+    """Sum of two words of cell cid at the same target tid."""
+    if len(w1) != len(w2):
+        raise StabilizerMismatch(
+            "cell %r: words of lengths %d and %d at target %r"
+            % (cid, len(w1), len(w2), tid))
+    return tuple(a + b for a, b in zip(w1, w2))
+
+
 class GCWComplex:
-    """Finite G-CW complex, one cell per orbit, immutable after validation."""
+    """Finite G-CW complex, one cell per orbit, immutable after validation.
+
+    Complexes are shared, not copied: a complex derived by adding a
+    basepoint (plus_point, rep_sphere) shares its parent's cells and
+    boundary words, and cached sphere models are handed to every caller.
+    Callers must not mutate a complex, its cells or its boundary.
+    """
 
     def __init__(self, group, cells, boundary, basepoint=None, tags=None):
         self.group = group
@@ -54,35 +70,68 @@ class GCWComplex:
         self.basepoint = basepoint
         self.tags = dict(tags) if tags else {}
         self.by_id = {}
-        for c in self.cells:
-            if c.id in self.by_id:
-                raise InvariantViolation("duplicate cell id %r" % c.id)
-            self.by_id[c.id] = c
-        # normalize: entries sorted by target id, all-zero words dropped
+        self._index(self.cells)
+        # normalize: words to one target summed, entries sorted by target
+        # id, all-zero words dropped
         self.boundary = {}
         for cid, entries in boundary.items():
             if cid not in self.by_id:
                 raise InvariantViolation("boundary for unknown cell %r" % cid)
             keep = []
-            for tid, word in sorted(entries):
-                word = tuple(int(x) for x in word)
-                if any(word):
-                    keep.append((tid, word))
+            for tid, word in sorted(entries, key=itemgetter(0)):
+                word = tuple(map(int, word))
+                if keep and keep[-1][0] == tid:
+                    word = _sum_words(cid, tid, keep.pop()[1], word)
+                keep.append((tid, word))
+            keep = tuple(e for e in keep if any(e[1]))
             if keep:
-                self.boundary[cid] = tuple(keep)
+                self.boundary[cid] = keep
         self._validate()
+
+    def _rebased(self, basepoint, tags, added=()):
+        """This complex plus the boundary-free cells `added`, re-based.
+
+        Shares the cells and the boundary words, which were normalized and
+        validated when this complex was built; only the added cells and the
+        new basepoint are checked.
+        """
+        x = object.__new__(GCWComplex)
+        x.group = self.group
+        x.cells = self.cells + list(added)
+        x.basepoint = basepoint
+        x.tags = dict(tags) if tags else {}
+        x.by_id = dict(self.by_id)
+        x._index(added)
+        x.boundary = self.boundary
+        x._check_cells(added)
+        x._check_basepoint()
+        return x
 
     # -- structure ---------------------------------------------------------
 
+    def _index(self, cells):
+        for c in cells:
+            if c.id in self.by_id:
+                raise InvariantViolation("duplicate cell id %r" % c.id)
+            self.by_id[c.id] = c
+
     def _validate(self):
+        self._check_cells(self.cells)
+        self._check_words()
+        self._check_basepoint()
+
+    def _check_cells(self, cells):
         n = self.group.order
-        for c in self.cells:
+        for c in cells:
             if c.stab < 1 or n % c.stab:
                 raise StabilizerMismatch(
                     "cell %r: stab %d is not a subgroup order of C_%d"
                     % (c.id, c.stab, n))
             if c.dim < 0:
                 raise InvariantViolation("cell %r: negative dimension" % c.id)
+
+    def _check_words(self):
+        n = self.group.order
         for cid, entries in self.boundary.items():
             c = self.by_id[cid]
             if c.dim == 0:
@@ -104,6 +153,8 @@ class GCWComplex:
                     raise StabilizerMismatch(
                         "cell %r: word length %d != %d at target %r"
                         % (cid, len(word), n // t.stab, tid))
+
+    def _check_basepoint(self):
         if self.basepoint is not None:
             bp = self.by_id.get(self.basepoint)
             if bp is None:
@@ -124,13 +175,10 @@ class GCWComplex:
         return self.boundary.get(cid, ())
 
     def first_fixed_cell(self, ignore_basepoint=True):
-        """Id of a non-free cell (stab > 1), skipping the basepoint; or None."""
-        for c in sorted(self.cells, key=lambda c: c.id):
-            if ignore_basepoint and c.id == self.basepoint:
-                continue
-            if c.stab > 1:
-                return c.id
-        return None
+        """Least id of a non-free cell (stab > 1), skipping the basepoint; or None."""
+        skip = self.basepoint if ignore_basepoint else None
+        return min((c.id for c in self.cells if c.stab > 1 and c.id != skip),
+                   default=None)
 
     def is_free(self, ignore_basepoint=True):
         return self.first_fixed_cell(ignore_basepoint) is None
@@ -506,15 +554,12 @@ def rep_sphere(v):
     count = len(v.summands()) + v.multiplicity(0) + 1
     x = sphere_of_rep(v + trivial_rep(v.group))
     nest = "b:" * (count - 1)
-    tags = {"cone_a": nest + "ta"}
-    return GCWComplex(x.group, x.cells, x.boundary,
-                      basepoint=nest + "tb", tags=tags)
+    return x._rebased(nest + "tb", {"cone_a": nest + "ta"})
 
 
 def plus_point(x):
     """X_+: adjoin a disjoint fixed basepoint named "+"."""
-    cells = list(x.cells) + [Cell("+", 0, x.group.order)]
-    return GCWComplex(x.group, cells, x.boundary, basepoint="+", tags=x.tags)
+    return x._rebased("+", x.tags, [Cell("+", 0, x.group.order)])
 
 
 def minimal_rep_sphere(p, q):
@@ -660,6 +705,7 @@ def save_gcw(x):
 def load_gcw(source):
     """Parse the text format; validates all structural invariants and d.d = 0.
 
+    Several words of one cell to the same target are summed.
     source: a string or a readable stream.
     """
     if hasattr(source, "read"):

@@ -17,6 +17,8 @@ n < 0 by suspending the space, n > 0 by point-space duality (for the
 two-point sphere) or by quotient periodicity (for free complexes mod p).
 """
 
+import functools
+
 from .errors import (
     EmptyRepresentation,
     NoBasepoint,
@@ -186,11 +188,19 @@ def _split_grading(x, mackey, alpha):
 
 
 def _sphere_model(v):
-    """A based model of S^V; minimal two-cone-point form over prime groups."""
+    """A based model of S^V; minimal two-cone-point form over prime groups.
+
+    The minimal models are cached and shared; callers must not mutate them.
+    """
     n = v.group.order
     if is_prime(n) and set(v.mult) == {1}:
-        return minimal_rep_sphere(n, v.multiplicity(1))
+        return _minimal_sphere(n, v.multiplicity(1))
     return rep_sphere(v)
+
+
+@functools.lru_cache(maxsize=128)
+def _minimal_sphere(p, q):
+    return minimal_rep_sphere(p, q)
 
 
 def ro_graded_cohomology(x, mackey, alpha):

@@ -13,13 +13,14 @@ the vanishing of the Euler class of the reduced regular representation for
 orders with two distinct prime divisors.
 """
 
+import functools
 import math
 
 from .errors import TrivialCharacter
 from .exact_linalg import GroupPresentation, check_prime, order_in_cokernel
 from .cyclic_reps import CyclicGroup, IrrepLabel, irrep, trivial_rep
-from .gcw_complex import GCWComplex, based_zero_sphere, join_one_skeleton, \
-    rep_sphere, sphere_of_rep
+from .gcw_complex import based_zero_sphere, join_one_skeleton, rep_sphere, \
+    sphere_of_rep
 from .mackey_bredon import BredonComplex, fixed_point_mackey, ro_graded_cohomology
 
 
@@ -81,7 +82,7 @@ def _mp_closed_form(p, m, n):
 
 def _mp_sphere_models(p, m, n):
     """Honest chain computation on minimal sphere models via reduction rules."""
-    g = based_zero_sphere(_group(p))
+    g = _zero_sphere(p)
     mk = fixed_point_mackey(("F", p), g.group)
     out = ro_graded_cohomology(g, mk, (m, n))
     if out.dim == 1:
@@ -90,13 +91,10 @@ def _mp_sphere_models(p, m, n):
     return out
 
 
-_GROUPS = {}
-
-
-def _group(p):
-    if p not in _GROUPS:
-        _GROUPS[p] = CyclicGroup(p)
-    return _GROUPS[p]
+@functools.lru_cache(maxsize=128)
+def _zero_sphere(p):
+    """The shared two-point sphere over C_p; callers must not mutate it."""
+    return based_zero_sphere(CyclicGroup(p))
 
 
 def _tate_monomial(p, m, n):
@@ -204,7 +202,7 @@ def euler_reduced_regular_vanishes(group):
     pieces.append(sphere_of_rep(trivial_rep(group)))
     sk = join_one_skeleton(pieces)
     last = len(pieces) - 1
-    x = GCWComplex(group, sk.cells, sk.boundary, basepoint="p%d:tb" % last)
+    x = sk._rebased("p%d:tb" % last, None)
     order = _cone_class_order(x, "p%d:ta" % last)
     primes = _prime_divisors(n)
     witnesses = []

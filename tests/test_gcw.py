@@ -276,6 +276,21 @@ bd e : v [-1,1,0]
     assert x.boundary_of("e") == (("v", (-1, 1, 0)),)
 
 
+def test_words_to_one_target_are_summed():
+    head = "group cyclic 3\ncell v dim 0 stab 1\ncell e dim 1 stab 1\n"
+    cancelled = load_gcw(head + "bd e : v [-1,1,0] ; v [1,-1,0]\n")
+    assert cancelled == load_gcw(head)
+    assert cancelled.boundary_of("e") == ()
+    assert save_gcw(cancelled) == save_gcw(load_gcw(head))
+    split = load_gcw(head + "bd e : v [-1,0,0] ; v [0,1,0]\n")
+    whole = load_gcw(head + "bd e : v [-1,1,0]\n")
+    assert split == whole
+    assert split.boundary_of("e") == (("v", (-1, 1, 0)),)
+    assert save_gcw(split) == save_gcw(whole)
+    with pytest.raises(StabilizerMismatch):
+        load_gcw(head + "bd e : v [-1,1,0] ; v [1]\n")
+
+
 def test_load_errors():
     with pytest.raises(ParseError):
         load_gcw("cell a dim 0 stab 1\n")  # missing header
