@@ -85,3 +85,11 @@ class InvariantViolation(BredonKitError):
 
 class StabilizerMismatch(BredonKitError):
     """Boundary data inconsistent with the declared stabilizers."""
+
+
+class ComplexTooLarge(BredonKitError):
+    """A product complex would exceed the orbit-cell limit.
+
+    The count is predicted from the factors' stabilizers before anything
+    is allocated; the message gives the prediction and the limit.
+    """

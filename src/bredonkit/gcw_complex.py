@@ -13,10 +13,12 @@ Dense boundary matrices (quotient, expand, the Bredon (co)chains) are all
 built by PlainComplex from the terms of each differential, on demand.
 """
 
+from collections import Counter
 from math import gcd
 from operator import itemgetter
 
 from .errors import (
+    ComplexTooLarge,
     EmptyRepresentation,
     InvariantViolation,
     MissingBasepoint,
@@ -24,7 +26,7 @@ from .errors import (
     StabilizerMismatch,
 )
 from .exact_linalg import IntMatrix, check_prime, homology_at
-from .cyclic_reps import CyclicGroup, trivial_rep
+from .cyclic_reps import CyclicGroup, format_rep, trivial_rep
 
 
 class Cell:
@@ -58,6 +60,15 @@ def _sum_words(cid, tid, w1, w2):
 class GCWComplex:
     """Finite G-CW complex, one cell per orbit, immutable after validation.
 
+    Boundary words are stored in canonical form: for each cell, a tuple of
+    (target id, int tuple) pairs with targets in strictly ascending order,
+    one nonzero word per target, and no entry for a cell without boundary.
+    The constructor brings any input to that form (words to one target
+    summed, zero words dropped) and then validates it; _check_words
+    enforces the form.  Only the product constructors (join, smash,
+    join_one_skeleton) skip the normalization: they write canonical words
+    and return through _canonical, which runs the same validation.
+
     Complexes are shared, not copied: a complex derived by adding a
     basepoint (plus_point, rep_sphere) shares its parent's cells and
     boundary words, and cached sphere models are handed to every caller.
@@ -65,18 +76,11 @@ class GCWComplex:
     """
 
     def __init__(self, group, cells, boundary, basepoint=None, tags=None):
-        self.group = group
-        self.cells = list(cells)
-        self.basepoint = basepoint
-        self.tags = dict(tags) if tags else {}
-        self.by_id = {}
-        self._index(self.cells)
+        self._store(group, cells, basepoint, tags)
         # normalize: words to one target summed, entries sorted by target
         # id, all-zero words dropped
         self.boundary = {}
         for cid, entries in boundary.items():
-            if cid not in self.by_id:
-                raise InvariantViolation("boundary for unknown cell %r" % cid)
             keep = []
             for tid, word in sorted(entries, key=itemgetter(0)):
                 word = tuple(map(int, word))
@@ -87,6 +91,27 @@ class GCWComplex:
             if keep:
                 self.boundary[cid] = keep
         self._validate()
+
+    @classmethod
+    def _canonical(cls, group, cells, boundary, basepoint=None, tags=None):
+        """A complex whose boundary words are already in canonical form.
+
+        Stores the words as given and validates everything, the canonical
+        form included.
+        """
+        x = object.__new__(cls)
+        x._store(group, cells, basepoint, tags)
+        x.boundary = boundary
+        x._validate()
+        return x
+
+    def _store(self, group, cells, basepoint, tags):
+        self.group = group
+        self.cells = list(cells)
+        self.basepoint = basepoint
+        self.tags = dict(tags) if tags else {}
+        self.by_id = {}
+        self._index(self.cells)
 
     def _rebased(self, basepoint, tags, added=()):
         """This complex plus the boundary-free cells `added`, re-based.
@@ -132,15 +157,26 @@ class GCWComplex:
 
     def _check_words(self):
         n = self.group.order
+        by_id = self.by_id
         for cid, entries in self.boundary.items():
-            c = self.by_id[cid]
+            c = by_id.get(cid)
+            if c is None:
+                raise InvariantViolation("boundary for unknown cell %r" % cid)
             if c.dim == 0:
                 raise InvariantViolation("0-cell %r has boundary" % cid)
+            if not entries:
+                raise InvariantViolation("cell %r: empty boundary entry" % cid)
+            prev = None
             for tid, word in entries:
-                if tid not in self.by_id:
+                if prev is not None and tid <= prev:
+                    raise InvariantViolation(
+                        "cell %r: boundary targets not strictly ascending at %r"
+                        % (cid, tid))
+                prev = tid
+                t = by_id.get(tid)
+                if t is None:
                     raise InvariantViolation(
                         "cell %r: boundary target %r does not exist" % (cid, tid))
-                t = self.by_id[tid]
                 if t.dim != c.dim - 1:
                     raise InvariantViolation(
                         "cell %r: boundary does not drop dimension by 1 at %r"
@@ -153,6 +189,9 @@ class GCWComplex:
                     raise StabilizerMismatch(
                         "cell %r: word length %d != %d at target %r"
                         % (cid, len(word), n // t.stab, tid))
+                if not any(word):
+                    raise InvariantViolation(
+                        "cell %r: zero word at target %r" % (cid, tid))
 
     def _check_basepoint(self):
         if self.basepoint is not None:
@@ -352,18 +391,81 @@ def _pair_orbit_count(n, hx, hy):
     return gcd(n // hx, n // hy)
 
 
-class _WordBuilder:
-    """Accumulates group-ring words per (cell id, word length)."""
+# a product complex predicted to have more orbit cells than this is refused
+MAX_ORBIT_CELLS = 1_000_000
 
-    def __init__(self):
+
+def _stab_counts(x, skip=None):
+    """How many orbit cells of x have each stabilizer order (skip one id)."""
+    return Counter(c.stab for c in x.cells if c.id != skip)
+
+
+def _pair_counts(n, sx, sy):
+    """Stabilizer counts of the product cells of two factors' stabilizer counts."""
+    out = Counter()
+    for hx, kx in sx.items():
+        for hy, ky in sy.items():
+            out[gcd(hx, hy)] += kx * ky * _pair_orbit_count(n, hx, hy)
+    return out
+
+
+def _join_cell_count(pieces):
+    """Orbit cells of the right-folded join of pieces, from stabilizers only."""
+    n = pieces[0].group.order
+    counts = _stab_counts(pieces[-1])
+    for x in reversed(pieces[:-1]):
+        sx = _stab_counts(x)
+        counts = sx + counts + _pair_counts(n, sx, counts)
+    return sum(counts.values())
+
+
+def _check_size(what, count):
+    if count > MAX_ORBIT_CELLS:
+        raise ComplexTooLarge("%s would have %d orbit cells, more than the limit "
+                              "of %d" % (what, count, MAX_ORBIT_CELLS))
+
+
+def _prefixed(pref, entries):
+    """Canonical words with every target renamed pref + id (order is kept)."""
+    return tuple((pref + tid, word) for tid, word in entries)
+
+
+def _terms(x, cid):
+    """(target id, target stabilizer, nonzero (position, coeff) pairs) of d(cid)."""
+    return [(tid, x.by_id[tid].stab, [(i, c) for i, c in enumerate(word) if c])
+            for tid, word in x.boundary_of(cid)]
+
+
+class _ProductWords:
+    """Canonical boundary words of the cells of one product over C_n.
+
+    add() accumulates words per target id; take() returns them in canonical
+    form (int tuples, one nonzero word per target, targets ascending) and
+    starts the next cell.  pair() is _normalize_pair, memoized per product.
+    """
+
+    def __init__(self, n):
+        self.n = n
         self.entries = {}
+        self.pairs = {}
+
+    def pair(self, hx, hy, a, b):
+        key = (hx, hy, a, b)
+        out = self.pairs.get(key)
+        if out is None:
+            out = self.pairs[key] = _normalize_pair(self.n, hx, hy, a, b)
+        return out
 
     def add(self, tid, length, pos, coeff):
-        w = self.entries.setdefault(tid, [0] * length)
+        w = self.entries.get(tid)
+        if w is None:
+            w = self.entries[tid] = [0] * length
         w[pos % length] += coeff
 
-    def packed(self):
-        return [(tid, tuple(w)) for tid, w in self.entries.items() if any(w)]
+    def take(self):
+        entries, self.entries = self.entries, {}
+        return tuple([(tid, tuple(w)) for tid, w in sorted(entries.items())
+                      if any(w)])
 
 
 def join(x, y):
@@ -373,54 +475,52 @@ def join(x, y):
     orbit cell j:<x>:<dr>:<y> of dimension |x|+|y|+1 per pair orbit.  The
     boundary of a product cell is  (dX x) * y + (-1)^(|x|+1) x * (dY y),
     with the 0-cell boundary read in the augmented sense (the empty joinand
-    contributes the opposite factor).
+    contributes the opposite factor).  Refused with ComplexTooLarge above
+    MAX_ORBIT_CELLS orbit cells.
     """
     if x.group != y.group:
         raise ValueError("join of complexes over different groups")
+    _check_size("the join", _join_cell_count((x, y)))
     n = x.group.order
-    cells = []
-    boundary = {}
-    for c in x.cells:
-        cells.append(Cell("a:" + c.id, c.dim, c.stab))
-    for c in y.cells:
-        cells.append(Cell("b:" + c.id, c.dim, c.stab))
-    for cid, entries in x.boundary.items():
-        boundary["a:" + cid] = [("a:" + tid, word) for tid, word in entries]
-    for cid, entries in y.boundary.items():
-        boundary["b:" + cid] = [("b:" + tid, word) for tid, word in entries]
+    cells = [Cell("a:" + c.id, c.dim, c.stab) for c in x.cells]
+    cells += [Cell("b:" + c.id, c.dim, c.stab) for c in y.cells]
+    boundary = {"a:" + cid: _prefixed("a:", entries)
+                for cid, entries in x.boundary.items()}
+    boundary.update(("b:" + cid, _prefixed("b:", entries))
+                    for cid, entries in y.boundary.items())
+    words = _ProductWords(n)
+    add, pair = words.add, words.pair
+    ys = [(cy, _terms(y, cy.id)) for cy in y.cells]
     for cx in x.cells:
-        for cy in y.cells:
-            hx, hy = cx.stab, cy.stab
+        hx = cx.stab
+        dx = _terms(x, cx.id)
+        s = -1 if cx.dim % 2 == 0 else 1
+        for cy, dy in ys:
+            hy = cy.stab
             hp = gcd(hx, hy)
             for dr in range(_pair_orbit_count(n, hx, hy)):
                 pid = "j:%s:%d:%s" % (cx.id, dr, cy.id)
                 cells.append(Cell(pid, cx.dim + cy.dim + 1, hp))
-                wb = _WordBuilder()
                 # left boundary term (dX x) * g^dr y
                 if cx.dim == 0:
-                    wb.add("b:" + cy.id, n // hy, dr, 1)
-                else:
-                    for tid, word in x.boundary_of(cx.id):
-                        ht = x.by_id[tid].stab
-                        for i, coeff in enumerate(word):
-                            if coeff:
-                                ndr, e = _normalize_pair(n, ht, hy, i, dr)
-                                wb.add("j:%s:%d:%s" % (tid, ndr, cy.id),
-                                       n // gcd(ht, hy), e, coeff)
+                    add("b:" + cy.id, n // hy, dr, 1)
+                for tid, ht, terms in dx:
+                    size = n // gcd(ht, hy)
+                    for i, coeff in terms:
+                        ndr, e = pair(ht, hy, i, dr)
+                        add("j:%s:%d:%s" % (tid, ndr, cy.id), size, e, coeff)
                 # right boundary term, sign (-1)^(|x|+1)
-                s = -1 if cx.dim % 2 == 0 else 1
                 if cy.dim == 0:
-                    wb.add("a:" + cx.id, n // hx, 0, s)
-                else:
-                    for tid, word in y.boundary_of(cy.id):
-                        ht = y.by_id[tid].stab
-                        for i, coeff in enumerate(word):
-                            if coeff:
-                                ndr, e = _normalize_pair(n, hx, ht, 0, dr + i)
-                                wb.add("j:%s:%d:%s" % (cx.id, ndr, tid),
-                                       n // gcd(hx, ht), e, s * coeff)
-                boundary[pid] = wb.packed()
-    return GCWComplex(x.group, cells, boundary)
+                    add("a:" + cx.id, n // hx, 0, s)
+                for tid, ht, terms in dy:
+                    size = n // gcd(hx, ht)
+                    for i, coeff in terms:
+                        ndr, e = pair(hx, ht, 0, dr + i)
+                        add("j:%s:%d:%s" % (cx.id, ndr, tid), size, e, s * coeff)
+                entries = words.take()
+                if entries:
+                    boundary[pid] = entries
+    return GCWComplex._canonical(x.group, cells, boundary)
 
 
 def smash(x, y):
@@ -429,26 +529,30 @@ def smash(x, y):
     Cells: s:<x>:<dr>:<y> for non-basepoint cells of both factors, of
     dimension |x|+|y|, plus a single fixed basepoint "*".  Boundary terms
     that touch either basepoint collapse: to "*" in dimension zero,
-    silently in higher dimensions.
+    silently in higher dimensions.  Refused with ComplexTooLarge above
+    MAX_ORBIT_CELLS orbit cells.
     """
     if x.group != y.group:
         raise ValueError("smash of complexes over different groups")
     if not x.is_based or not y.is_based:
         raise MissingBasepoint("smash needs based complexes")
     n = x.group.order
+    pairs = _pair_counts(n, _stab_counts(x, x.basepoint),
+                         _stab_counts(y, y.basepoint))
+    _check_size("the smash product", 1 + sum(pairs.values()))
     cells = [Cell("*", 0, n)]
     boundary = {}
-
-    def collapsed(c):
-        return c.id == x.basepoint or c.id == y.basepoint
-
+    words = _ProductWords(n)
+    add, pair = words.add, words.pair
+    ys = [(cy, _terms(y, cy.id)) for cy in y.cells if cy.id != y.basepoint]
     for cx in x.cells:
         if cx.id == x.basepoint:
             continue
-        for cy in y.cells:
-            if cy.id == y.basepoint:
-                continue
-            hx, hy = cx.stab, cy.stab
+        hx = cx.stab
+        dx = _terms(x, cx.id)
+        s = 1 if cx.dim % 2 == 0 else -1
+        for cy, dy in ys:
+            hy = cy.stab
             hp = gcd(hx, hy)
             for dr in range(_pair_orbit_count(n, hx, hy)):
                 pid = "s:%s:%d:%s" % (cx.id, dr, cy.id)
@@ -456,36 +560,30 @@ def smash(x, y):
                 cells.append(Cell(pid, dim, hp))
                 if dim == 0:
                     continue
-                wb = _WordBuilder()
-                for tid, word in x.boundary_of(cx.id):
-                    ht = x.by_id[tid].stab
-                    base = tid == x.basepoint
-                    for i, coeff in enumerate(word):
-                        if not coeff:
-                            continue
-                        if base:
-                            if cy.dim == 0:
-                                wb.add("*", 1, 0, coeff)
-                            continue
-                        ndr, e = _normalize_pair(n, ht, hy, i, dr)
-                        wb.add("s:%s:%d:%s" % (tid, ndr, cy.id),
-                               n // gcd(ht, hy), e, coeff)
-                s = 1 if cx.dim % 2 == 0 else -1
-                for tid, word in y.boundary_of(cy.id):
-                    ht = y.by_id[tid].stab
-                    base = tid == y.basepoint
-                    for i, coeff in enumerate(word):
-                        if not coeff:
-                            continue
-                        if base:
-                            if cx.dim == 0:
-                                wb.add("*", 1, 0, s * coeff)
-                            continue
-                        ndr, e = _normalize_pair(n, hx, ht, 0, dr + i)
-                        wb.add("s:%s:%d:%s" % (cx.id, ndr, tid),
-                               n // gcd(hx, ht), e, s * coeff)
-                boundary[pid] = wb.packed()
-    return GCWComplex(x.group, cells, boundary, basepoint="*")
+                for tid, ht, terms in dx:
+                    if tid == x.basepoint:
+                        if cy.dim == 0:
+                            for _, coeff in terms:
+                                add("*", 1, 0, coeff)
+                        continue
+                    size = n // gcd(ht, hy)
+                    for i, coeff in terms:
+                        ndr, e = pair(ht, hy, i, dr)
+                        add("s:%s:%d:%s" % (tid, ndr, cy.id), size, e, coeff)
+                for tid, ht, terms in dy:
+                    if tid == y.basepoint:
+                        if cx.dim == 0:
+                            for _, coeff in terms:
+                                add("*", 1, 0, s * coeff)
+                        continue
+                    size = n // gcd(hx, ht)
+                    for i, coeff in terms:
+                        ndr, e = pair(hx, ht, 0, dr + i)
+                        add("s:%s:%d:%s" % (cx.id, ndr, tid), size, e, s * coeff)
+                entries = words.take()
+                if entries:
+                    boundary[pid] = entries
+    return GCWComplex._canonical(x.group, cells, boundary, basepoint="*")
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +618,12 @@ def _single_character_sphere(group, k):
                       {"e0": [("v0", tuple(word))]})
 
 
+def _sphere_pieces(v):
+    """The joinands of S(V): nontrivial characters by label, trivial ones last."""
+    labels = v.summands() + [0] * v.multiplicity(0)
+    return [_single_character_sphere(v.group, k) for k in labels]
+
+
 def sphere_of_rep(v):
     """Unit sphere S(V): iterated join of one piece per irreducible summand.
 
@@ -531,8 +635,8 @@ def sphere_of_rep(v):
         raise EmptyRepresentation("S(0) is empty")
     if not v.is_actual:
         raise EmptyRepresentation("unit sphere needs an actual representation")
-    labels = v.summands() + [0] * v.multiplicity(0)
-    pieces = [_single_character_sphere(v.group, k) for k in labels]
+    pieces = _sphere_pieces(v)
+    _check_size("the join model of S(%s)" % format_rep(v), _join_cell_count(pieces))
     x = pieces[-1]
     for p in reversed(pieces[:-1]):
         x = join(p, x)
@@ -659,8 +763,10 @@ def join_one_skeleton(pieces):
                 cells.append(Cell(pref + c.id, 0, c.stab))
             elif c.dim == 1:
                 cells.append(Cell(pref + c.id, 1, c.stab))
-                boundary[pref + c.id] = [(pref + tid, word)
-                                         for tid, word in x.boundary_of(c.id)]
+                entries = x.boundary_of(c.id)
+                if entries:
+                    boundary[pref + c.id] = _prefixed(pref, entries)
+    words = _ProductWords(n)
     for i, x in enumerate(pieces):
         for j_, y in enumerate(pieces):
             if j_ <= i:
@@ -676,11 +782,10 @@ def join_one_skeleton(pieces):
                     for dr in range(_pair_orbit_count(n, hx, hy)):
                         pid = "j:p%d:%s:%d:p%d:%s" % (i, cx.id, dr, j_, cy.id)
                         cells.append(Cell(pid, 1, hp))
-                        wb = _WordBuilder()
-                        wb.add("p%d:%s" % (j_, cy.id), n // hy, dr, 1)
-                        wb.add("p%d:%s" % (i, cx.id), n // hx, 0, -1)
-                        boundary[pid] = wb.packed()
-    return GCWComplex(group, cells, boundary)
+                        words.add("p%d:%s" % (j_, cy.id), n // hy, dr, 1)
+                        words.add("p%d:%s" % (i, cx.id), n // hx, 0, -1)
+                        boundary[pid] = words.take()
+    return GCWComplex._canonical(group, cells, boundary)
 
 
 # ---------------------------------------------------------------------------
