@@ -15,6 +15,7 @@ deterministic apart from the timestamp field.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -335,6 +336,9 @@ def _echo(args):
     return "bredonkit " + " ".join(args._argv)
 
 
+# built once per process: parse_args leaves the parser as it was, and help
+# text reads the terminal width when it is printed, not when it is built
+@functools.lru_cache(maxsize=1)
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="bredonkit",
@@ -412,9 +416,8 @@ def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
     argv = list(argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_join_range_flags(argv))
+        args = _build_parser().parse_args(_join_range_flags(argv))
     except SystemExit as err:
         return 2 if err.code else 0
     args._argv = list(argv)

@@ -18,6 +18,7 @@ flag recording the comparison range needed to transfer the conclusion.
 """
 
 import json
+import weakref
 
 from .cyclic_reps import (CyclicGroup, canonicalize, dim, format_rep, irrep,
                           reduced_regular)
@@ -58,6 +59,20 @@ def target_rep(p, d):
     return reduced_regular(CyclicGroup(check_prime(p))) * (int(d) - 1)
 
 
+# S(V) models that some caller still holds, by (group order, multiplicities);
+# a model leaves the map as soon as its last holder lets go of it
+_live_spheres = weakref.WeakValueDictionary()
+
+
+def _unit_sphere(v):
+    """sphere_of_rep(v), or the live model of the same S(V) if one is held."""
+    key = (v.group.order, tuple(sorted(v.mult.items())))
+    x = _live_spheres.get(key)
+    if x is None:
+        x = _live_spheres[key] = sphere_of_rep(v)
+    return x
+
+
 def lemma_cohsphere_check(p, v, w):
     """Reduced cohomology of S(V)_+ in grading W, for W containing V.
 
@@ -83,7 +98,7 @@ def lemma_cohsphere_check(p, v, w):
                 "W does not contain V even after the mod-p collapse: need "
                 "m >= 0 and n >= %d, got (%d, %d)" % (n_v, g.m, g.n))
     mackey = MackeyCoefficients(group, ("F", p))
-    return ro_graded_cohomology(sphere_of_rep(v), mackey, (g.m, g.n))
+    return ro_graded_cohomology(_unit_sphere(v), mackey, (g.m, g.n))
 
 
 def source_witness(x, k, p):
@@ -231,8 +246,18 @@ def certify(problem, _verify=True):
 
     Raises CertificateFailed when the target group refuses to vanish or
     the source witness dies; otherwise the returned certificate has been
-    rebuilt from its own serialized problem and re-verified.
+    rebuilt from its own serialized problem and re-verified.  The target's
+    S(V) model is held until certify returns, so that recheck reads the same
+    model instead of building it again.
     """
+    sphere = _unit_sphere(problem.rep)
+    try:
+        return _build_certificate(problem, _verify)
+    finally:
+        del sphere    # a traceback keeps this frame, so let go of it here
+
+
+def _build_certificate(problem, verify):
     group = CyclicGroup(problem.p)
     w = irrep(group, 1) * problem.k
     target = lemma_cohsphere_check(problem.p, problem.rep, w)
@@ -272,7 +297,7 @@ def certify(problem, _verify=True):
         "rechecked": False,
     }
     cert = ObstructionCertificate(data)
-    if _verify:
+    if verify:
         recheck(cert)
         cert.data["rechecked"] = True
     return cert

@@ -7,12 +7,14 @@ the rendered payload, exactly as a shell user would see them.
 import csv
 import io
 import json
+import re
 import time
 from importlib import resources
 
 import jsonschema
 import pytest
 
+from bredonkit import cli
 from bredonkit.cli import main
 from bredonkit.cyclic_reps import CyclicGroup, irrep
 from bredonkit.errors import PrimeTooLarge
@@ -310,3 +312,32 @@ def test_json_payloads_validate_against_the_shipped_schema(capsys, tmp_path,
 def test_unknown_subcommand_is_usage_error(capsys):
     assert run(capsys, ["bogus"])[0] == 2
     assert run(capsys, [])[0] == 2
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch, sphere_file):
+    assert cli._build_parser() is cli._build_parser()
+    invocations = [
+        ["point", "--p", "3"],
+        ["--help"],
+        ["point", "--p", "3", "--m-range", "-1:1", "--n-range", "0:1"],
+        ["space", sphere_file, "--grading", "xi"],
+        ["euler", "--n", "6", "--rep", "xi^2"],
+        ["obstruct", "--p", "2", "--d", "3", "--format", "md"],
+        ["obstruct", "--p", "3", "--d", "2"],
+    ]
+
+    def transcript():
+        out = []
+        for argv in invocations:
+            code, stdout, stderr = run(capsys, argv)
+            out.append((code, re.sub(r'"timestamp": "[^"]*"', "", stdout),
+                        stderr))
+        return out
+
+    shared = transcript()
+    assert [code for code, _, _ in shared] == [2, 0, 0, 0, 0, 0, 0]
+    assert "usage: bredonkit" in shared[1][1]
+    # the same calls on a parser built afresh for each of them
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert cli._build_parser() is not cli._build_parser()
+    assert transcript() == shared

@@ -2,9 +2,11 @@
 
 import itertools
 import json
+import weakref
 
 import pytest
 
+from bredonkit import obstruction
 from bredonkit.cyclic_reps import (CyclicGroup, VirtualRep, dim, format_rep,
                                    irrep, trivial_rep)
 from bredonkit.errors import (CertificateFailed, ContainmentFails,
@@ -192,3 +194,56 @@ def test_certificate_payload_shape():
     assert data["target_record"]["rep"] == format_rep(target_rep(3, 2))
     assert data["target_record"]["sphere_dim"] == 1
     assert data["witness_record"]["degree"] == 2
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Weak references to every S(V) model built, in build order."""
+    out = []
+    build = obstruction.sphere_of_rep
+
+    def counted(v):
+        x = build(v)
+        out.append(weakref.ref(x))
+        return x
+    monkeypatch.setattr(obstruction, "sphere_of_rep", counted)
+    return out
+
+
+def test_certify_and_its_recheck_share_one_sphere_model(builds):
+    cert = certify(conf2_problem(4))
+    assert cert.data["rechecked"] is True
+    assert len(builds) == 1
+    # nothing outlives the certificate
+    assert len(obstruction._live_spheres) == 0
+    assert builds[0]() is None
+    with pytest.raises(CertificateFailed) as info:
+        certify(surrogate_problem(3, 3, 2))
+    assert "witness vanishes" in str(info.value)
+    assert len(builds) == 2
+    assert len(obstruction._live_spheres) == 0
+    assert builds[1]() is None
+
+
+def test_a_stored_certificate_rechecks_on_its_own_model(builds):
+    blob = certify(conf2_problem(3)).to_json()
+    assert len(builds) == 1
+    assert recheck(json.loads(blob)) is True
+    assert len(builds) == 2
+    # the recheck still recomputes both records from the rebuilt problem
+    for key, field, wrong in (("target_record", "group", "F_2"),
+                              ("witness_record", "vector", [0])):
+        data = json.loads(blob)
+        data[key][field] = wrong
+        with pytest.raises(CertificateFailed):
+            recheck(data)
+    assert len(builds) == 4
+    assert len(obstruction._live_spheres) == 0
+
+
+def test_direct_sphere_checks_build_their_own_models(builds):
+    v = irrep(C5, 1) + irrep(C5, 2)
+    for _ in range(2):
+        assert lemma_cohsphere_check(5, v, v).dim == 0
+    assert len(builds) == 2
+    assert all(ref() is None for ref in builds)
