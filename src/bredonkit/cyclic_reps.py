@@ -9,7 +9,6 @@ for mod-p coefficients.
 """
 
 import re
-from math import gcd
 
 from .errors import NotASubgroup
 from .exact_linalg import check_prime
@@ -30,10 +29,6 @@ class CyclicGroup:
         n = self.order
         return tuple(h for h in range(1, n + 1) if n % h == 0)
 
-    def irrep_labels(self):
-        """All labels: 0 (trivial) then 1 .. floor(n/2)."""
-        return tuple(range(0, self.order // 2 + 1))
-
     def nontrivial_labels(self):
         return tuple(range(1, self.order // 2 + 1))
 
@@ -45,13 +40,6 @@ class CyclicGroup:
         if 2 * k == self.order:
             return 1  # sign character
         return 2
-
-    def label_kernel_order(self, k):
-        """Order of the kernel of xi^k (the whole group for k = 0)."""
-        self._check_label(k)
-        if k == 0:
-            return self.order
-        return gcd(self.order, k)
 
     def _check_label(self, k):
         if not (0 <= k <= self.order // 2):
@@ -65,35 +53,6 @@ class CyclicGroup:
 
     def __repr__(self):
         return "C_%d" % self.order
-
-
-class IrrepLabel:
-    """A single irreducible of C_n: k = 0 is trivial, otherwise xi^k."""
-
-    __slots__ = ("group", "k")
-
-    def __init__(self, group, k):
-        group._check_label(k)
-        self.group = group
-        self.k = k
-
-    @property
-    def real_dim(self):
-        return self.group.label_dim(self.k)
-
-    @property
-    def is_trivial(self):
-        return self.k == 0
-
-    def __eq__(self, other):
-        return (isinstance(other, IrrepLabel) and self.group == other.group
-                and self.k == other.k)
-
-    def __hash__(self):
-        return hash((self.group, self.k))
-
-    def __repr__(self):
-        return "1" if self.k == 0 else "xi^%d" % self.k
 
 
 class VirtualRep:
@@ -349,7 +308,3 @@ def format_rep(v):
     for sign, body in parts[1:]:
         out += " %s %s" % (sign, body)
     return out
-
-
-def format_grading(g):
-    return "%d%+d*xi" % (g.m, g.n)

@@ -36,11 +36,7 @@ class EmptyRepresentation(BredonKitError):
 
 
 class MissingBasepoint(BredonKitError):
-    """A based construction (smash) received an unbased complex."""
-
-
-class NoBasepoint(BredonKitError):
-    """Reduced (co)homology was requested on an unbased complex."""
+    """A smash product or reduced (co)homology got an unbased complex."""
 
 
 class UnsupportedGrading(BredonKitError):

@@ -104,14 +104,12 @@ class SNFDecomposition:
     invariant factors first, each dividing the next, then zeros.
     """
 
-    __slots__ = ("left", "right", "diag", "rows", "cols")
+    __slots__ = ("left", "right", "diag")
 
-    def __init__(self, left, right, diag, rows, cols):
+    def __init__(self, left, right, diag):
         self.left = left
         self.right = right
         self.diag = tuple(diag)
-        self.rows = rows
-        self.cols = cols
 
     @property
     def rank(self):
@@ -120,12 +118,6 @@ class SNFDecomposition:
     @property
     def invariant_factors(self):
         return tuple(d for d in self.diag if d != 0)
-
-    def diagonal_matrix(self):
-        m = IntMatrix(self.rows, self.cols)
-        for i, d in enumerate(self.diag):
-            m.data[i][i] = d
-        return m
 
 
 def _swap_rows(m, i, j):
@@ -232,7 +224,7 @@ def snf(m):
             _add_row(left, t, offender, 1)
         t += 1
     diag = [d.data[i][i] for i in range(limit)]
-    return SNFDecomposition(left, right, diag, m.rows, m.cols)
+    return SNFDecomposition(left, right, diag)
 
 
 class GroupPresentation:
@@ -513,23 +505,3 @@ def fp_solve(m, b, p):
         x[c] = aug[r, -1]
     return x
 
-
-def fp_nullspace(m, p):
-    """Matrix whose columns are a basis of ker(m) mod p."""
-    a = np.asarray(m, dtype=np.int64) % p
-    rows, cols = a.shape
-    if cols == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    red, pivots = fp_row_reduce(a, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((cols, len(free)), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[fc, k] = 1
-        for r, c in enumerate(pivots):
-            basis[c, k] = (-red[r, fc]) % p
-    return basis
-
-
-def fp_in_span(m, v, p):
-    """Is v in the column span of m mod p?"""
-    return fp_solve(m, v, p) is not None

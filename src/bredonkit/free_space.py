@@ -11,7 +11,8 @@ realises the three operators that move classes around it:
           on cochains by fiber integration through the quotient of the
           sphere bundle S(eta) x X -> X;
   * kappa -- the exterior degree-1 generator, supported only on the
-          built-in periodic skeleta where the quotient ring is known.
+          periodic skeleta (recognised by their cells and words), where
+          the quotient ring is known.
 
 Multiplication by the polynomial generator y is not implemented through a
 classifying map; it is the composite (a action) o (u-inverse action),
@@ -20,20 +21,27 @@ which is the same element of the ring.
 
 import numpy as np
 
-from .cyclic_reps import IrrepLabel, VirtualRep, canonicalize, irrep
+from .cyclic_reps import VirtualRep, irrep
 from .errors import (InvariantViolation, KappaUnsupported, NotFree,
                      UnsupportedGrading)
-from .exact_linalg import (GroupPresentation, check_prime, fp_row_reduce,
-                           fp_solve)
-from .mackey_bredon import (CohomologyClass, MackeyCoefficients,
+from .exact_linalg import check_prime, fp_row_reduce, fp_solve
+from .gcw_complex import periodic_free_model, plus_point
+from .mackey_bredon import (CohomologyClass, MackeyCoefficients, grading_pair,
                             ro_graded_cohomology)
 
 
-def _require_free(x):
+def free_prime(x):
+    """The prime order p of x's group; raises NotFree if x is not free.
+
+    NotPrime comes first; the basepoint may be fixed, and the NotFree
+    message names the first other fixed cell and its stabilizer.
+    """
+    p = check_prime(x.group.order)
     fid = x.first_fixed_cell(ignore_basepoint=True)
     if fid is not None:
         raise NotFree("cell %r has stabilizer of order %d"
                       % (fid, x.by_id[fid].stab))
+    return p
 
 
 def _normal_form(u, db_prev, p):
@@ -185,16 +193,7 @@ def _edge_word(p, k):
 def _coerce_rep(group, v):
     if isinstance(v, VirtualRep):
         return v
-    if isinstance(v, IrrepLabel):
-        return irrep(v.group, v.k)
     return irrep(group, int(v))
-
-
-def _pair(grading, p):
-    if isinstance(grading, VirtualRep):
-        grading = canonicalize(grading, p)
-    m, n = map(int, grading)
-    return m, n
 
 
 def euler_action_free(x, mackey, c, v):
@@ -205,16 +204,15 @@ def euler_action_free(x, mackey, c, v):
     cochain representatives.  Characters with a fixed direction kill the
     class (the Euler class of a trivial summand is zero).
     """
-    p = check_prime(x.group.order)
+    p = free_prime(x)
     if mackey is None:
         mackey = MackeyCoefficients(x.group, ("F", p))
     if mackey.p != p:
         raise UnsupportedGrading("free-space actions are computed mod p over C_p")
-    _require_free(x)
     v = _coerce_rep(x.group, v)
     if not v.is_actual:
         raise UnsupportedGrading("Euler classes exist for actual representations")
-    m, n = _pair(c.grading, p)
+    m, n = grading_pair(c.grading, p)
     step = x.group.label_dim(1)  # underlying degree of one character
     chars = []
     for k, mult in sorted(v.mult.items()):
@@ -257,17 +255,17 @@ def module_action(x, generator, c):
     and (-1, 1) for p = 2, same vector), "u^-1" (its inverse), "a" (the
     chain-level Euler operator of the standard character), "y" (the
     composite a o u^-1), or "kappa" (degree-1 exterior generator,
-    supported only on the built-in periodic skeleta).
+    supported only on the periodic skeleta, recognised by their cells and
+    words).
     """
-    p = check_prime(x.group.order)
-    _require_free(x)
+    p = free_prime(x)
     try:
         name = _GENERATORS[generator]
     except KeyError:
         raise ValueError("unknown generator %r (use u, u^-1, a, y, kappa)"
                          % (generator,))
     mackey = MackeyCoefficients(x.group, ("F", p))
-    m, n = _pair(c.grading, p)
+    m, n = grading_pair(c.grading, p)
     step = x.group.label_dim(1)
     if name == "u" or name == "u-1":
         sgn = 1 if name == "u" else -1
@@ -285,11 +283,11 @@ def module_action(x, generator, c):
     # kappa: only where the quotient ring is known (periodic skeleta)
     if p == 2:
         raise KappaUnsupported("no exterior generator mod 2")
-    if x.tags.get("periodic_model") != p:
-        raise KappaUnsupported("kappa is supported only on the built-in "
-                               "periodic skeleta of C_%d" % p)
+    top = _periodic_top(x, p)
+    if top is None:
+        raise KappaUnsupported("kappa is supported only on the periodic "
+                               "skeleta of C_%d" % p)
     s = m + step * n
-    top = x.tags.get("top", -1)
     target = (m - 1, n + 1)
     home = ro_graded_cohomology(x, mackey, target)
     info = {"kind": "free-quotient", "degree": s + 1}
@@ -299,10 +297,21 @@ def module_action(x, generator, c):
     return CohomologyClass.zero(target, home, model=info)
 
 
+def _periodic_top(x, p):
+    """top if x is periodic_free_model(p, top), perhaps with a "+" basepoint.
+
+    The complex is recognised by its cells and words alone, so a model
+    keeps its kappa through save_gcw and load_gcw; None for anything else.
+    """
+    ref = periodic_free_model(p, max(x.dim, 0))
+    if x.is_based:
+        ref = plus_point(ref)
+    return x.dim if x == ref else None
+
+
 def unit_class(x):
     """The class of 1 in grading (0, 0): the all-ones vertex cocycle."""
-    p = check_prime(x.group.order)
-    _require_free(x)
+    p = free_prime(x)
     q = x.quotient(drop_basepoint=x.is_based)
     ones = np.ones(q.size(0), dtype=np.int64)
     if np.any(q.coboundary(0).to_fp(p) @ ones % p):
@@ -324,8 +333,7 @@ class FreeSpaceCohomology:
     def __init__(self, space):
         self.space = space
         self.group = space.group
-        self.p = check_prime(space.group.order)
-        _require_free(space)
+        self.p = free_prime(space)
         self.quotient = space.quotient(drop_basepoint=space.is_based)
         ring = ("F", self.p)
         self.groups = tuple(self.quotient.cohomology(s, ring)
@@ -341,11 +349,6 @@ class FreeSpaceCohomology:
 
     def dim(self, s):
         return self.groups[s].dim if 0 <= s < len(self.groups) else 0
-
-    def group_at(self, s):
-        if 0 <= s < len(self.groups):
-            return self.groups[s]
-        return GroupPresentation.mod_p(self.p, 0)
 
     def graded(self, m, n):
         """The reduced group in grading (m, n), read off the table."""
@@ -381,8 +384,7 @@ def skeletal_range_check(x, bound):
     (p = 2), so the powers checked are those whose degree stays within
     bound; the report also states the largest k that was actually nonzero.
     """
-    p = check_prime(x.group.order)
-    _require_free(x)
+    p = free_prime(x)
     step = x.group.label_dim(1)
     kmax = int(bound) // step
     c = unit_class(x)

@@ -357,9 +357,6 @@ class PlainComplex:
         self._built[k, transposed] = m
         return m
 
-    def homology(self, k, coeff):
-        return homology_at(self.boundary(k + 1), self.boundary(k), coeff)
-
     def cohomology(self, k, coeff):
         return homology_at(self.coboundary(k - 1), self.coboundary(k), coeff)
 
@@ -675,29 +672,25 @@ def minimal_rep_sphere(p, q):
     """
     group = CyclicGroup(check_prime(p))
     top = 2 * q if p != 2 else q
+    ids = ["w%02d" % j for j in range(1, top + 1)]
     cells = [Cell("a", 0, p), Cell("b", 0, p)]
-    boundary = {}
-    for j in range(1, top + 1):
-        cells.append(Cell(_wid(j), j, 1))
-        if j == 1:
-            boundary[_wid(1)] = [("a", (1,)), ("b", (-1,))]
-        elif j % 2 == 0:
-            word = [0] * p
-            word[1] += 1
-            word[0] -= 1
-            boundary[_wid(j)] = [(_wid(j - 1), tuple(word))]
-        else:
-            boundary[_wid(j)] = [(_wid(j - 1), (1,) * p)]
+    cells += [Cell(cid, j, 1) for j, cid in enumerate(ids, start=1)]
+    boundary = {ids[0]: [("a", (1,)), ("b", (-1,))]} if ids else {}
+    boundary.update(_periodic_words(p, ids))
     return GCWComplex(group, cells, boundary, basepoint="b",
-                      tags={"cone_a": "a", "minimal_sphere": (p, q)})
+                      tags={"cone_a": "a"})
 
 
-def _wid(j):
-    return "w%02d" % j
+def _periodic_words(p, ids):
+    """Boundary words of a chain of free orbit cells ids[0] <- ids[1] <- ...
 
-
-def _eid(j):
-    return "e%02d" % j
+    d(ids[j]) is (g - 1) . ids[j-1] for odd j and N . ids[j-1] for even j,
+    with N = 1 + g + ... + g^(p-1) the norm.
+    """
+    g_minus_1 = (-1, 1) + (0,) * (p - 2)
+    norm = (1,) * p
+    return {ids[j]: [(ids[j - 1], g_minus_1 if j % 2 else norm)]
+            for j in range(1, len(ids))}
 
 
 def periodic_free_model(p, top_dim):
@@ -710,18 +703,9 @@ def periodic_free_model(p, top_dim):
     group = CyclicGroup(check_prime(p))
     if top_dim < 0:
         raise ValueError("top_dim must be >= 0")
-    cells = [Cell(_eid(j), j, 1) for j in range(top_dim + 1)]
-    boundary = {}
-    for j in range(1, top_dim + 1):
-        if j % 2 == 1:
-            word = [0] * p
-            word[1] += 1
-            word[0] -= 1
-        else:
-            word = [1] * p
-        boundary[_eid(j)] = [(_eid(j - 1), tuple(word))]
-    return GCWComplex(group, cells, boundary,
-                      tags={"periodic_model": p, "top": top_dim})
+    ids = ["e%02d" % j for j in range(top_dim + 1)]
+    cells = [Cell(cid, j, 1) for j, cid in enumerate(ids)]
+    return GCWComplex(group, cells, _periodic_words(p, ids))
 
 
 def ecp_skeleton(p, m):
@@ -792,7 +776,11 @@ def join_one_skeleton(pieces):
 # text format
 
 def save_gcw(x):
-    """Serialize to the line-oriented text format (exact round-trip)."""
+    """Serialize to the line-oriented text format.
+
+    load_gcw reads back the same group, cells, basepoint and boundary words;
+    tags are not saved.
+    """
     lines = ["group cyclic %d" % x.group.order]
     for c in sorted(x.cells, key=lambda c: (c.dim, c.id)):
         lines.append("cell %s dim %d stab %d" % (c.id, c.dim, c.stab))

@@ -21,7 +21,7 @@ import functools
 
 from .errors import (
     EmptyRepresentation,
-    NoBasepoint,
+    MissingBasepoint,
     UnsupportedGrading,
 )
 from .exact_linalg import GroupPresentation, check_coeff, homology_at, is_prime
@@ -93,7 +93,7 @@ class BredonComplex:
         if mackey.group != x.group:
             raise ValueError("coefficient group does not match the complex")
         if reduced and not x.is_based:
-            raise NoBasepoint("reduced (co)homology needs a based complex")
+            raise MissingBasepoint("reduced (co)homology needs a based complex")
         self.space = x
         self.mackey = mackey
         self.reduced = reduced
@@ -172,8 +172,8 @@ def _split_grading(x, mackey, alpha):
         if alpha.group != group:
             raise ValueError("grading group does not match the complex")
         if mackey.ring != "Z" and group.order == mackey.ring[1]:
-            g = canonicalize(alpha, mackey.ring[1])
-            return _split_grading(x, mackey, (g.m, g.n))
+            return _split_grading(x, mackey,
+                                  grading_pair(alpha, mackey.ring[1]))
         m = alpha.multiplicity(0)
         nt = alpha - trivial_rep(group, m) if m else alpha
         pos = nt.positive_part()
@@ -280,6 +280,14 @@ class CohomologyClass:
         return rec
 
 
+def grading_pair(grading, p):
+    """(m, n) of a grading given as a pair or as a representation of C_p."""
+    if isinstance(grading, VirtualRep):
+        grading = canonicalize(grading, p)
+    m, n = map(int, grading)
+    return m, n
+
+
 def euler_action(x, mackey, c, v):
     """Multiply the class c by the Euler class of V (grading shifts by V).
 
@@ -292,10 +300,7 @@ def euler_action(x, mackey, c, v):
     p = mackey.p
     if p is None or x.group.order != p:
         raise UnsupportedGrading("Euler action is computed mod p over C_p")
-    g = c.grading
-    if isinstance(g, VirtualRep):
-        g = canonicalize(g, p)
-    m, n = map(int, g)
+    m, n = grading_pair(c.grading, p)
     nv = sum(cc for k, cc in v.mult.items() if k != 0)
     target = (m + v.multiplicity(0), n + nv)
     if v.multiplicity(0) > 0:

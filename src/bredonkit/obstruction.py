@@ -23,9 +23,9 @@ import weakref
 from .cyclic_reps import (CyclicGroup, canonicalize, dim, format_rep, irrep,
                           reduced_regular)
 from .errors import (CertificateFailed, ContainmentFails, EmptyRepresentation,
-                     NotFree, WitnessVanishes)
+                     WitnessVanishes)
 from .exact_linalg import check_prime
-from .free_space import module_action, unit_class
+from .free_space import free_prime, module_action, unit_class
 from .gcw_complex import (conf2_model, ecp_skeleton, load_gcw, save_gcw,
                           sphere_of_rep)
 from .mackey_bredon import MackeyCoefficients, ro_graded_cohomology
@@ -145,9 +145,7 @@ class ObstructionProblem:
         if source.group.order != self.p:
             raise ValueError("source lives over C_%d, expected C_%d"
                              % (source.group.order, self.p))
-        fid = source.first_fixed_cell(ignore_basepoint=True)
-        if fid is not None:
-            raise NotFree("source cell %r is not free" % fid)
+        free_prime(source)
         self.source = source
         self.kind = kind
         self.surrogate_m = surrogate_m
@@ -241,7 +239,7 @@ def _conclusion(problem):
     return base
 
 
-def certify(problem, _verify=True):
+def certify(problem):
     """Run both halves of the pipeline and emit the certificate.
 
     Raises CertificateFailed when the target group refuses to vanish or
@@ -252,12 +250,30 @@ def certify(problem, _verify=True):
     """
     sphere = _unit_sphere(problem.rep)
     try:
-        return _build_certificate(problem, _verify)
+        records = _records(problem)
+        if problem.kind == "conf2-model":
+            assumptions = []
+        elif problem.kind == "surrogate-skeleton":
+            assumptions = [ASSUMPTION_SURROGATE]
+        else:
+            assumptions = [ASSUMPTION_USER]
+        cert = ObstructionCertificate({
+            "problem": problem.to_record(),
+            **records,
+            "assumptions": assumptions,
+            "conclusion": _conclusion(problem),
+            "engine_version": ENGINE_VERSION,
+            "rechecked": False,
+        })
+        recheck(cert)
+        cert.data["rechecked"] = True
+        return cert
     finally:
         del sphere    # a traceback keeps this frame, so let go of it here
 
 
-def _build_certificate(problem, verify):
+def _records(problem):
+    """The target and witness records of a problem, both computed afresh."""
     group = CyclicGroup(problem.p)
     w = irrep(group, 1) * problem.k
     target = lemma_cohsphere_check(problem.p, problem.rep, w)
@@ -269,15 +285,8 @@ def _build_certificate(problem, verify):
         witness = source_witness(problem.source, problem.k, problem.p)
     except WitnessVanishes as err:
         raise CertificateFailed("source witness vanishes: %s" % err)
-    if problem.kind == "conf2-model":
-        assumptions = []
-    elif problem.kind == "surrogate-skeleton":
-        assumptions = [ASSUMPTION_SURROGATE]
-    else:
-        assumptions = [ASSUMPTION_USER]
     gm, gn = witness.grading
-    data = {
-        "problem": problem.to_record(),
+    return {
         "target_record": {
             "rep": format_rep(problem.rep),
             "grading": [0, problem.k],
@@ -291,16 +300,7 @@ def _build_certificate(problem, verify):
             "home": witness.home.describe(),
             "degree": problem.k * group.label_dim(1),
         },
-        "assumptions": assumptions,
-        "conclusion": _conclusion(problem),
-        "engine_version": ENGINE_VERSION,
-        "rechecked": False,
     }
-    cert = ObstructionCertificate(data)
-    if verify:
-        recheck(cert)
-        cert.data["rechecked"] = True
-    return cert
 
 
 def _rebuild_problem(record):
@@ -322,10 +322,10 @@ def recheck(cert):
     Returns True; raises CertificateFailed on any discrepancy.
     """
     data = cert.data if isinstance(cert, ObstructionCertificate) else dict(cert)
-    fresh = certify(_rebuild_problem(data["problem"]), _verify=False)
-    for key in ("target_record", "witness_record"):
-        if fresh.data[key] != data[key]:
+    fresh = _records(_rebuild_problem(data["problem"]))
+    for key, record in fresh.items():
+        if record != data[key]:
             raise CertificateFailed(
                 "stored %s does not recompute: %r vs %r"
-                % (key, data[key], fresh.data[key]))
+                % (key, data[key], record))
     return True

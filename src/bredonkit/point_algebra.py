@@ -18,7 +18,7 @@ import math
 
 from .errors import TrivialCharacter
 from .exact_linalg import GroupPresentation, check_prime, order_in_cokernel
-from .cyclic_reps import CyclicGroup, IrrepLabel, irrep, trivial_rep
+from .cyclic_reps import CyclicGroup, irrep, trivial_rep
 from .gcw_complex import based_zero_sphere, join_one_skeleton, rep_sphere, \
     sphere_of_rep
 from .mackey_bredon import BredonComplex, fixed_point_mackey, ro_graded_cohomology
@@ -159,9 +159,7 @@ def euler_order(group, eta):
     the class corresponds to the non-basepoint cone point in reduced
     degree-0 homology.  Equals |G| / (kernel size of the character).
     """
-    if isinstance(eta, IrrepLabel):
-        k = eta.k
-    elif hasattr(eta, "mult"):
+    if hasattr(eta, "mult"):
         items = sorted(eta.mult.items())
         if len(items) != 1 or items[0][1] != 1:
             raise ValueError("euler_order needs a single character, got %r" % (eta,))

@@ -4,7 +4,7 @@ reduction rules."""
 import pytest
 
 from bredonkit.cyclic_reps import CyclicGroup, VirtualRep, irrep, trivial_rep
-from bredonkit.errors import NoBasepoint, UnsupportedGrading
+from bredonkit.errors import MissingBasepoint, UnsupportedGrading
 from bredonkit.exact_linalg import GroupPresentation
 from bredonkit.gcw_complex import (
     based_zero_sphere,
@@ -81,7 +81,7 @@ def test_free_circle_plus_basepoint_mod_3():
 def test_reduced_needs_basepoint():
     g = CyclicGroup(3)
     m = fixed_point_mackey("Z", g)
-    with pytest.raises(NoBasepoint):
+    with pytest.raises(MissingBasepoint):
         bredon_cohomology(sphere_of_rep(irrep(g, 1)), m, 0, reduced=True)
 
 
