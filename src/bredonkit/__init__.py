@@ -28,7 +28,7 @@ from .gcw_complex import (Cell, GCWComplex, based_zero_sphere, conf2_model,
 from .mackey_bredon import (BredonComplex, CohomologyClass,
                             MackeyCoefficients, bredon_cohomology,
                             bredon_homology, euler_action,
-                            fixed_point_mackey, ro_graded_cohomology)
+                            ro_graded_cohomology)
 from .point_algebra import (euler_order, euler_reduced_regular_vanishes,
                             mp_group, render_label)
 from .free_space import (FreeSpaceCohomology, euler_action_free,

@@ -9,6 +9,7 @@ for mod-p coefficients.
 """
 
 import re
+from typing import NamedTuple
 
 from .errors import NotASubgroup
 from .exact_linalg import check_prime
@@ -153,26 +154,11 @@ class VirtualRep:
         return "<VirtualRep %s over %r>" % (format_rep(self), self.group)
 
 
-class RestrictedGrading:
+class RestrictedGrading(NamedTuple):
     """The grading m + n*xi (n counts collapsed rotation characters)."""
 
-    __slots__ = ("m", "n")
-
-    def __init__(self, m, n):
-        self.m = int(m)
-        self.n = int(n)
-
-    def __iter__(self):
-        return iter((self.m, self.n))
-
-    def __eq__(self, other):
-        if isinstance(other, tuple):
-            return (self.m, self.n) == other
-        return (isinstance(other, RestrictedGrading)
-                and (self.m, self.n) == (other.m, other.n))
-
-    def __hash__(self):
-        return hash((self.m, self.n))
+    m: int
+    n: int
 
     def __repr__(self):
         return "(%d%+d*xi)" % (self.m, self.n)

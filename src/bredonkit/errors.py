@@ -76,7 +76,7 @@ class ParseError(BredonKitError):
 
 
 class InvariantViolation(BredonKitError):
-    """A loaded or constructed complex breaks a structural invariant."""
+    """A complex breaks a structural invariant, or has an id save_gcw cannot write."""
 
 
 class StabilizerMismatch(BredonKitError):

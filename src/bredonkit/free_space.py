@@ -221,9 +221,7 @@ def euler_action_free(x, mackey, c, v):
     target = (m + v.multiplicity(0), n + len(chars))
     home = ro_graded_cohomology(x, mackey, target)
     if v.multiplicity(0) > 0 or c.is_zero():
-        return CohomologyClass.zero(target, home,
-                                    model={"kind": "free-quotient",
-                                           "degree": m + v.multiplicity(0) + step * (n + len(chars))})
+        return CohomologyClass.zero(target, home)
     s = m + step * n
     vec = np.asarray(c.vector, dtype=np.int64) % p
     for k in chars:
@@ -233,10 +231,9 @@ def euler_action_free(x, mackey, c, v):
         vec = model.euler_step(s, vec)
         s += step
         vec = _normal_form(vec, model.dbmat(s - 1), p)
-    info = {"kind": "free-quotient", "degree": s}
     if not np.any(vec):
-        return CohomologyClass.zero(target, home, model=info)
-    return CohomologyClass(target, vec, home, model=info)
+        return CohomologyClass.zero(target, home)
+    return CohomologyClass(target, vec, home)
 
 
 _GENERATORS = {
@@ -271,11 +268,9 @@ def module_action(x, generator, c):
         sgn = 1 if name == "u" else -1
         target = (m - sgn * step, n + sgn)
         home = ro_graded_cohomology(x, mackey, target)
-        info = dict(c.model) if c.model else {"kind": "free-quotient"}
-        info["degree"] = m + step * n
         if c.is_zero():
-            return CohomologyClass.zero(target, home, model=info)
-        return CohomologyClass(target, c.vector, home, model=info)
+            return CohomologyClass.zero(target, home)
+        return CohomologyClass(target, c.vector, home)
     if name == "a":
         return euler_action_free(x, mackey, c, irrep(x.group, 1))
     if name == "y":
@@ -290,11 +285,10 @@ def module_action(x, generator, c):
     s = m + step * n
     target = (m - 1, n + 1)
     home = ro_graded_cohomology(x, mackey, target)
-    info = {"kind": "free-quotient", "degree": s + 1}
     coeff = (c.vector[0] if c.vector else 0) % p
     if s % 2 == 0 and 0 <= s + 1 <= top and coeff:
-        return CohomologyClass(target, (coeff,), home, model=info)
-    return CohomologyClass.zero(target, home, model=info)
+        return CohomologyClass(target, (coeff,), home)
+    return CohomologyClass.zero(target, home)
 
 
 def _periodic_top(x, p):
@@ -317,34 +311,23 @@ def unit_class(x):
     if np.any(q.coboundary(0).to_fp(p) @ ones % p):
         raise InvariantViolation("quotient edges do not have augmentation-zero "
                                  "boundary; no canonical unit")
-    home = q.cohomology(0, ("F", p))
-    return CohomologyClass((0, 0), ones, home,
-                           model={"kind": "free-quotient", "degree": 0})
+    return CohomologyClass((0, 0), ones, q.cohomology(0, ("F", p)))
 
 
 class FreeSpaceCohomology:
     """Cohomology table of a free complex: H^s(X/G; F_p) for every s.
 
-    Graded reads collapse through the periodicity unit, so the table plus
-    the unit record determines every group: the dimension in grading
-    (m, n) depends only on the underlying degree.
+    Graded reads collapse through the periodicity unit, so the table
+    determines every group: the dimension in grading (m, n) depends only
+    on the underlying degree (m + 2n for odd p, m + n for p = 2).
     """
 
     def __init__(self, space):
         self.space = space
-        self.group = space.group
         self.p = free_prime(space)
-        self.quotient = space.quotient(drop_basepoint=space.is_based)
+        q = space.quotient(drop_basepoint=space.is_based)
         ring = ("F", self.p)
-        self.groups = tuple(self.quotient.cohomology(s, ring)
-                            for s in range(self.quotient.dim + 1))
-        self.bases = tuple(tuple(layer) for layer in self.quotient.layers)
-        step = space.group.label_dim(1)
-        self.unit_record = {
-            "generator": "u_sigma" if self.p == 2 else "u_xi",
-            "grading_shift": (-step, 1),
-            "underlying_degree": "m + n" if step == 1 else "m + 2n",
-        }
+        self.groups = tuple(q.cohomology(s, ring) for s in range(q.dim + 1))
         self._mackey = MackeyCoefficients(space.group, ring)
 
     def dim(self, s):
@@ -354,19 +337,8 @@ class FreeSpaceCohomology:
         """The reduced group in grading (m, n), read off the table."""
         return ro_graded_cohomology(self.space, self._mackey, (m, n))
 
-    def unit_class(self):
-        return unit_class(self.space)
-
     def dims(self):
         return tuple(g.dim for g in self.groups)
-
-    def to_record(self):
-        return {
-            "group": "C_%d" % self.p,
-            "cells_per_dim": list(self.quotient.cells_per_dim()),
-            "dims": list(self.dims()),
-            "unit": dict(self.unit_record),
-        }
 
     def __repr__(self):
         return "<free C_%d space: quotient dims %s>" % (self.p, list(self.dims()))

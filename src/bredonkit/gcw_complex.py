@@ -13,6 +13,7 @@ Dense boundary matrices (quotient, expand, the Bredon (co)chains) are all
 built by PlainComplex from the terms of each differential, on demand.
 """
 
+import re
 from collections import Counter
 from math import gcd
 from operator import itemgetter
@@ -60,6 +61,9 @@ def _sum_words(cid, tid, w1, w2):
 class GCWComplex:
     """Finite G-CW complex, one cell per orbit, immutable after validation.
 
+    A complex holds its group, its cells (indexed by id in by_id), their
+    boundary words and an optional basepoint, a fixed 0-cell; nothing else.
+
     Boundary words are stored in canonical form: for each cell, a tuple of
     (target id, int tuple) pairs with targets in strictly ascending order,
     one nonzero word per target, and no entry for a cell without boundary.
@@ -75,8 +79,8 @@ class GCWComplex:
     Callers must not mutate a complex, its cells or its boundary.
     """
 
-    def __init__(self, group, cells, boundary, basepoint=None, tags=None):
-        self._store(group, cells, basepoint, tags)
+    def __init__(self, group, cells, boundary, basepoint=None):
+        self._store(group, cells, basepoint)
         # normalize: words to one target summed, entries sorted by target
         # id, all-zero words dropped
         self.boundary = {}
@@ -93,27 +97,26 @@ class GCWComplex:
         self._validate()
 
     @classmethod
-    def _canonical(cls, group, cells, boundary, basepoint=None, tags=None):
+    def _canonical(cls, group, cells, boundary, basepoint=None):
         """A complex whose boundary words are already in canonical form.
 
         Stores the words as given and validates everything, the canonical
         form included.
         """
         x = object.__new__(cls)
-        x._store(group, cells, basepoint, tags)
+        x._store(group, cells, basepoint)
         x.boundary = boundary
         x._validate()
         return x
 
-    def _store(self, group, cells, basepoint, tags):
+    def _store(self, group, cells, basepoint):
         self.group = group
         self.cells = list(cells)
         self.basepoint = basepoint
-        self.tags = dict(tags) if tags else {}
         self.by_id = {}
         self._index(self.cells)
 
-    def _rebased(self, basepoint, tags, added=()):
+    def _rebased(self, basepoint, added=()):
         """This complex plus the boundary-free cells `added`, re-based.
 
         Shares the cells and the boundary words, which were normalized and
@@ -124,7 +127,6 @@ class GCWComplex:
         x.group = self.group
         x.cells = self.cells + list(added)
         x.basepoint = basepoint
-        x.tags = dict(tags) if tags else {}
         x.by_id = dict(self.by_id)
         x._index(added)
         x.boundary = self.boundary
@@ -321,9 +323,6 @@ class PlainComplex:
     @property
     def dim(self):
         return len(self.layers) - 1
-
-    def cells_per_dim(self):
-        return tuple(len(l) for l in self.layers)
 
     def size(self, k):
         if 0 <= k <= self.dim:
@@ -595,7 +594,7 @@ def free_points(group, count):
 def based_zero_sphere(group):
     """S^0: two fixed points, based at b."""
     return GCWComplex(group, [Cell("a", 0, group.order), Cell("b", 0, group.order)],
-                      {}, basepoint="b", tags={"cone_a": "a"})
+                      {}, basepoint="b")
 
 
 def _single_character_sphere(group, k):
@@ -643,30 +642,32 @@ def sphere_of_rep(v):
 def rep_sphere(v):
     """One-point compactification S^V, built as S(V + 1) with a basepoint.
 
-    The two cone points of the added trivial summand become the basepoint b
-    and the distinguished fixed point a (tagged "cone_a").
+    The two cone points of the added trivial summand, the last joinand, are
+    the basepoint <nest>tb and the cone point <nest>ta, where <nest> is one
+    "b:" per joinand before it.  For V a single nontrivial character they
+    are b:tb and b:ta, the only fixed 0-cells.
     """
     if v.is_zero:
         return GCWComplex(v.group,
                           [Cell("ta", 0, v.group.order), Cell("tb", 0, v.group.order)],
-                          {}, basepoint="tb", tags={"cone_a": "ta"})
+                          {}, basepoint="tb")
     if not v.is_actual:
         raise EmptyRepresentation("compactification needs an actual representation")
     count = len(v.summands()) + v.multiplicity(0) + 1
     x = sphere_of_rep(v + trivial_rep(v.group))
     nest = "b:" * (count - 1)
-    return x._rebased(nest + "tb", {"cone_a": nest + "ta"})
+    return x._rebased(nest + "tb")
 
 
 def plus_point(x):
     """X_+: adjoin a disjoint fixed basepoint named "+"."""
-    return x._rebased("+", x.tags, [Cell("+", 0, x.group.order)])
+    return x._rebased("+", [Cell("+", 0, x.group.order)])
 
 
 def minimal_rep_sphere(p, q):
     """Minimal model of the q-fold rotation (sign, for p = 2) sphere over C_p.
 
-    Two fixed cone points a (tagged) and b (basepoint) plus one free orbit
+    Two fixed cone points a and b (the basepoint) plus one free orbit
     cell per dimension 1 .. q*(2 for odd p, 1 for p = 2); boundaries
     alternate a - b, then g - 1, then the norm.
     """
@@ -677,8 +678,7 @@ def minimal_rep_sphere(p, q):
     cells += [Cell(cid, j, 1) for j, cid in enumerate(ids, start=1)]
     boundary = {ids[0]: [("a", (1,)), ("b", (-1,))]} if ids else {}
     boundary.update(_periodic_words(p, ids))
-    return GCWComplex(group, cells, boundary, basepoint="b",
-                      tags={"cone_a": "a"})
+    return GCWComplex(group, cells, boundary, basepoint="b")
 
 
 def _periodic_words(p, ids):
@@ -775,14 +775,23 @@ def join_one_skeleton(pieces):
 # ---------------------------------------------------------------------------
 # text format
 
+# characters a cell id cannot hold in the text format
+_UNSAVABLE = re.compile(r"[\s#\[;]")
+
+
 def save_gcw(x):
     """Serialize to the line-oriented text format.
 
-    load_gcw reads back the same group, cells, basepoint and boundary words;
-    tags are not saved.
+    load_gcw reads back an equal complex: the same group, cells, basepoint
+    and boundary words, which is all a complex holds.  A cell id the format
+    cannot carry (empty, or holding whitespace, '#', '[' or ';') is refused
+    with InvariantViolation naming the cell.
     """
     lines = ["group cyclic %d" % x.group.order]
     for c in sorted(x.cells, key=lambda c: (c.dim, c.id)):
+        if not c.id or _UNSAVABLE.search(c.id):
+            raise InvariantViolation("cell id %r cannot be written in the "
+                                     "text format" % c.id)
         lines.append("cell %s dim %d stab %d" % (c.id, c.dim, c.stab))
     if x.basepoint is not None:
         lines.append("basepoint %s" % x.basepoint)

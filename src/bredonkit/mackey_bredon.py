@@ -45,28 +45,6 @@ class MackeyCoefficients:
     def p(self):
         return self.ring[1] if self.ring != "Z" else None
 
-    def value(self, h):
-        if self.group.order % h:
-            raise ValueError("h = %d is not a subgroup order of %r" % (h, self.group))
-        if self.ring == "Z":
-            return GroupPresentation.integral(1)
-        return GroupPresentation.mod_p(self.ring[1], 1)
-
-    def restriction(self, h_sub, h_sup):
-        """M(G/H) -> M(G/K) for K of order h_sub inside H of order h_sup."""
-        self._check_pair(h_sub, h_sup)
-        return 1
-
-    def transfer(self, h_sub, h_sup):
-        """M(G/K) -> M(G/H): multiplication by the index [H:K]."""
-        self._check_pair(h_sub, h_sup)
-        return h_sup // h_sub
-
-    def _check_pair(self, h_sub, h_sup):
-        if h_sup % h_sub or self.group.order % h_sup:
-            raise ValueError("not a nested pair of subgroup orders: %d, %d"
-                             % (h_sub, h_sup))
-
     def __eq__(self, other):
         return (isinstance(other, MackeyCoefficients)
                 and self.group == other.group and self.ring == other.ring)
@@ -74,11 +52,6 @@ class MackeyCoefficients:
     def __repr__(self):
         tag = "Z" if self.ring == "Z" else "F_%d" % self.ring[1]
         return "<constant Mackey functor %s over %r>" % (tag, self.group)
-
-
-def fixed_point_mackey(module, group):
-    """The constant Mackey functor with value `module` ("Z" or ("F", p))."""
-    return MackeyCoefficients(group, module)
 
 
 class BredonComplex:
@@ -236,20 +209,20 @@ def ro_graded_cohomology(x, mackey, alpha):
 class CohomologyClass:
     """A cohomology class: grading, coordinate vector, and its home group.
 
-    Vectors are stored in a producer-chosen canonical coordinate system
-    (recorded in `model`), so equality is literal coordinate equality;
-    the zero class may carry an empty vector.
+    Vectors are coordinates on the cochain basis of the producer (for free
+    complexes, the orbit cells of the quotient in the underlying degree),
+    so equality is literal coordinate equality; the zero class may carry
+    an empty vector.
     """
 
-    def __init__(self, grading, vector, home, model=None):
+    def __init__(self, grading, vector, home):
         self.grading = tuple(grading) if not isinstance(grading, VirtualRep) else grading
         self.vector = tuple(int(v) for v in vector)
         self.home = home
-        self.model = dict(model) if model else {}
 
     @classmethod
-    def zero(cls, grading, home, model=None):
-        return cls(grading, (), home, model)
+    def zero(cls, grading, home):
+        return cls(grading, (), home)
 
     def is_zero(self):
         return not any(self.vector)
@@ -266,18 +239,6 @@ class CohomologyClass:
     def __repr__(self):
         return "<class at %s: %s in %s>" % (
             self.grading, self.vector or "0", self.home.describe())
-
-    def to_record(self):
-        if isinstance(self.grading, VirtualRep):
-            g = sorted(self.grading.mult.items())
-        else:
-            g = list(self.grading)
-        rec = {"grading": g, "vector": list(self.vector),
-               "home": self.home.describe()}
-        if self.model:
-            rec["model"] = {k: v for k, v in sorted(self.model.items())
-                            if isinstance(v, (str, int, float, list, tuple))}
-        return rec
 
 
 def grading_pair(grading, p):
@@ -316,7 +277,6 @@ def euler_action(x, mackey, c, v):
                     "products out of the negative cone are not exposed")
             return CohomologyClass.zero(target, ro_graded_cohomology(x, mackey, target))
         home = ro_graded_cohomology(x, mackey, target)
-        return CohomologyClass(target, c.vector, home,
-                               model={"kind": "point-cone"})
+        return CohomologyClass(target, c.vector, home)
     raise UnsupportedGrading(
         "Euler action needs a free complex, the two-point sphere, or a trivial summand")

@@ -22,8 +22,8 @@ import weakref
 
 from .cyclic_reps import (CyclicGroup, canonicalize, dim, format_rep, irrep,
                           reduced_regular)
-from .errors import (CertificateFailed, ContainmentFails, EmptyRepresentation,
-                     WitnessVanishes)
+from .errors import (BredonKitError, CertificateFailed, ContainmentFails,
+                     EmptyRepresentation, WitnessVanishes)
 from .exact_linalg import check_prime
 from .free_space import free_prime, module_action, unit_class
 from .gcw_complex import (conf2_model, ecp_skeleton, load_gcw, save_gcw,
@@ -206,14 +206,6 @@ class ObstructionCertificate:
     def __getitem__(self, key):
         return self.data[key]
 
-    @property
-    def conclusion(self):
-        return self.data["conclusion"]
-
-    @property
-    def assumptions(self):
-        return list(self.data["assumptions"])
-
     def to_json(self, indent=2):
         return json.dumps(self.data, indent=indent, sort_keys=True)
 
@@ -313,19 +305,24 @@ def _rebuild_problem(record):
     if kind == "user-model":
         return user_problem(record["p"], record["d"],
                             load_gcw(record["model"]))
-    raise CertificateFailed("unknown source kind %r" % (kind,))
+    raise ValueError("unknown source kind %r" % (kind,))
 
 
 def recheck(cert):
     """Rebuild the problem from the certificate and recompute both records.
 
-    Returns True; raises CertificateFailed on any discrepancy.
+    Returns True; raises CertificateFailed on any discrepancy, and when the
+    stored problem is missing, malformed or cannot be rebuilt.
     """
     data = cert.data if isinstance(cert, ObstructionCertificate) else dict(cert)
-    fresh = _records(_rebuild_problem(data["problem"]))
-    for key, record in fresh.items():
-        if record != data[key]:
+    try:
+        problem = _rebuild_problem(data["problem"])
+    except (KeyError, TypeError, ValueError, BredonKitError) as err:
+        raise CertificateFailed("stored problem cannot be rebuilt: %s: %s"
+                                % (type(err).__name__, err))
+    for key, record in _records(problem).items():
+        if record != data.get(key):
             raise CertificateFailed(
                 "stored %s does not recompute: %r vs %r"
-                % (key, data[key], record))
+                % (key, data.get(key), record))
     return True

@@ -21,7 +21,7 @@ from .exact_linalg import GroupPresentation, check_prime, order_in_cokernel
 from .cyclic_reps import CyclicGroup, irrep, trivial_rep
 from .gcw_complex import based_zero_sphere, join_one_skeleton, rep_sphere, \
     sphere_of_rep
-from .mackey_bredon import BredonComplex, fixed_point_mackey, ro_graded_cohomology
+from .mackey_bredon import BredonComplex, MackeyCoefficients, ro_graded_cohomology
 
 
 def positive_label(p, m, n):
@@ -83,7 +83,7 @@ def _mp_closed_form(p, m, n):
 def _mp_sphere_models(p, m, n):
     """Honest chain computation on minimal sphere models via reduction rules."""
     g = _zero_sphere(p)
-    mk = fixed_point_mackey(("F", p), g.group)
+    mk = MackeyCoefficients(g.group, ("F", p))
     out = ro_graded_cohomology(g, mk, (m, n))
     if out.dim == 1:
         label = _label_at(p, m, n)
@@ -144,11 +144,19 @@ def mp_group(p, g, method="c"):
     raise ValueError("method must be one of 'a', 'b', 'c'")
 
 
-def _cone_class_order(x, cone_id):
+def _cone_point(x):
+    """The one fixed 0-cell of x other than the basepoint."""
+    n = x.group.order
+    cone, = [c.id for c in x.cells
+             if c.dim == 0 and c.stab == n and c.id != x.basepoint]
+    return cone
+
+
+def _cone_class_order(x):
     """Order of the cone-point class in reduced degree-0 Bredon homology."""
-    b = BredonComplex(x, fixed_point_mackey("Z", x.group), reduced=True)
-    basis = b.basis(0)
-    v = [1 if cid == cone_id else 0 for cid in basis]
+    cone = _cone_point(x)
+    b = BredonComplex(x, MackeyCoefficients(x.group, "Z"), reduced=True)
+    v = [1 if cid == cone else 0 for cid in b.basis(0)]
     return order_in_cokernel(v, b.boundary_matrix(1))
 
 
@@ -168,8 +176,7 @@ def euler_order(group, eta):
         k = int(eta)
     if k % group.order == 0:
         raise TrivialCharacter("the trivial character has no Euler class order")
-    x = rep_sphere(irrep(group, k))
-    order = _cone_class_order(x, x.tags["cone_a"])
+    order = _cone_class_order(rep_sphere(irrep(group, k)))
     return order if order is not None else math.inf
 
 
@@ -199,9 +206,7 @@ def euler_reduced_regular_vanishes(group):
     pieces = [sphere_of_rep(irrep(group, k)) for k in group.nontrivial_labels()]
     pieces.append(sphere_of_rep(trivial_rep(group)))
     sk = join_one_skeleton(pieces)
-    last = len(pieces) - 1
-    x = sk._rebased("p%d:tb" % last, None)
-    order = _cone_class_order(x, "p%d:ta" % last)
+    order = _cone_class_order(sk._rebased("p%d:tb" % (len(pieces) - 1)))
     primes = _prime_divisors(n)
     witnesses = []
     if len(primes) >= 2:

@@ -251,7 +251,7 @@ def test_fp_refuses_primes_past_int64(capsys, tmp_path):
     with pytest.raises(PrimeTooLarge):
         bredon_cohomology(x, MackeyCoefficients(x.group, ("F", big)), 0)
     with pytest.raises(PrimeTooLarge):
-        homology_at(IntMatrix.zeros(1, 1), IntMatrix.zeros(1, 1), ("F", big))
+        homology_at(IntMatrix(1, 1), IntMatrix(1, 1), ("F", big))
     path = tmp_path / "theta.gcw"
     path.write_text(_theta_graph(big))
     for degree, want in (("0", "Z"), ("1", "Z^2")):

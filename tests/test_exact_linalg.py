@@ -182,7 +182,7 @@ def test_kernel_and_solve():
                        IntMatrix.from_rows([[4, -6], [0, 0]]))
     assert x == IntMatrix.from_rows([[2, -3]])
     # no right-hand sides
-    x = solve_integral(m, IntMatrix.zeros(2, 0))
+    x = solve_integral(m, IntMatrix(2, 0))
     assert (x.rows, x.cols) == (3, 0)
 
 
@@ -207,7 +207,7 @@ def test_homology_middle_of_cyclic_complex():
 
 
 def test_homology_zero_maps():
-    h = homology_at(IntMatrix.zeros(1, 1), IntMatrix.zeros(1, 1), "Z")
+    h = homology_at(IntMatrix(1, 1), IntMatrix(1, 1), "Z")
     assert h == GroupPresentation.integral(1)
     assert h.describe() == "Z"
 
@@ -253,7 +253,7 @@ def test_mul_matches_the_definition():
 def test_homology_torsion_and_rank():
     # Z^2 --diag(2,0)--> Z^2 --0--> 0: H = Z/2 + Z
     d_in = IntMatrix.from_rows([[2, 0], [0, 0]])
-    d_out = IntMatrix.zeros(0, 2)
+    d_out = IntMatrix(0, 2)
     h = homology_at(d_in, d_out, "Z")
     assert h == GroupPresentation.integral(1, (2,))
 
@@ -443,7 +443,7 @@ def full_snf_order(v, a):
 
 def test_order_in_cokernel_ignores_zero_and_repeated_columns():
     rng = random.Random(404)
-    cases = [IntMatrix.zeros(3, 4), IntMatrix.zeros(3, 0), IntMatrix.zeros(0, 2)]
+    cases = [IntMatrix(3, 4), IntMatrix(3, 0), IntMatrix(0, 2)]
     for _ in range(60):
         rows = rng.randint(1, 4)
         base = [[rng.randint(-6, 6) for _ in range(rows)]
@@ -491,7 +491,7 @@ def cochain_complexes():
     homology_at(ds[i], ds[i+1]), and chain complexes run from the top down."""
     from bredonkit.cyclic_reps import CyclicGroup, irrep
     from bredonkit.gcw_complex import plus_point, rep_sphere, smash, sphere_of_rep
-    from bredonkit.mackey_bredon import BredonComplex, fixed_point_mackey
+    from bredonkit.mackey_bredon import BredonComplex, MackeyCoefficients
     rng = random.Random(20261018)
     for n in range(2, 7):
         g = CyclicGroup(n)
@@ -508,7 +508,7 @@ def cochain_complexes():
             for reduced in (False, True):
                 if reduced and not x.is_based:
                     continue
-                b = BredonComplex(x, fixed_point_mackey("Z", g), reduced=reduced)
+                b = BredonComplex(x, MackeyCoefficients(g, "Z"), reduced=reduced)
                 tag = "C_%d %s%s" % (n, name, " reduced" if reduced else "")
                 yield tag + " cochains", [b.cochain_matrix(k)
                                           for k in range(-1, b.dim + 1)]
@@ -522,8 +522,8 @@ def cochain_complexes():
         kb = kernel_basis(a)
         b = IntMatrix(kb.cols, m, [[rng.choice((0, 0, rng.randint(-6, 6)))
                                     for _ in range(m)] for _ in range(kb.cols)])
-        yield "random %dx%d" % (r, c), [IntMatrix.zeros(m, 0), kb.mul(b), a,
-                                        IntMatrix.zeros(0, r)]
+        yield "random %dx%d" % (r, c), [IntMatrix(m, 0), kb.mul(b), a,
+                                        IntMatrix(0, r)]
 
 
 def test_homology_z_matches_per_column_route():

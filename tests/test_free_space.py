@@ -40,20 +40,18 @@ def test_quotient_tables():
     assert free_cohomology(conf2_model(4)).dims() == (1, 1, 1, 1)
 
 
-def test_unit_record_and_unit_class():
-    tab = free_cohomology(ecp_skeleton(3, 2))
-    assert tab.unit_record["generator"] == "u_xi"
-    assert tab.unit_record["grading_shift"] == (-2, 1)
-    assert tab.unit_record["underlying_degree"] == "m + 2n"
-    tab2 = free_cohomology(conf2_model(3))
-    assert tab2.unit_record["generator"] == "u_sigma"
-    assert tab2.unit_record["grading_shift"] == (-1, 1)
-    one = tab.unit_class()
+def test_unit_class_and_quotient_table():
+    x = ecp_skeleton(3, 2)
+    tab = free_cohomology(x)
+    one = unit_class(x)
     assert one.grading == (0, 0) and one.vector == (1,)
     assert not one.is_zero()
-    rec = tab.to_record()
-    assert rec["dims"] == [1, 1, 1, 1]
-    assert rec["cells_per_dim"] == [1, 1, 1, 1]
+    assert tab.dims() == (1, 1, 1, 1)
+    # the periodicity unit shifts the grading by (-2, 1) for odd p and by
+    # (-1, 1) for p = 2, keeping the vector
+    assert module_action(x, "u", one).grading == (-2, 1)
+    y = conf2_model(3)
+    assert module_action(y, "u", unit_class(y)).grading == (-1, 1)
 
 
 def test_graded_reads_depend_only_on_underlying_degree():

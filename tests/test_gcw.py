@@ -114,7 +114,8 @@ def test_rep_sphere_of_regular_c6():
     assert x.dim == 5
     assert x.is_based
     fixed = [c.id for c in x.cells if c.stab == 6]
-    assert sorted(fixed) == sorted([x.basepoint, x.tags["cone_a"]])
+    assert sorted(fixed) == ["b:b:b:ta", "b:b:b:tb"]
+    assert x.basepoint == "b:b:b:tb"
     x.verify_dd()
 
 
@@ -122,14 +123,14 @@ def test_rep_sphere_zero_is_based_two_points():
     g = CyclicGroup(4)
     x = rep_sphere(VirtualRep(g, {}))
     assert x.cell_count() == (2,)
-    assert x.is_based and x.tags["cone_a"] != x.basepoint
+    assert x.is_based and x.basepoint == "tb"
 
 
 def test_minimal_rep_sphere_census_and_words():
     x = minimal_rep_sphere(3, 1)
     assert sorted((c.id, c.dim, c.stab) for c in x.cells) == [
         ("a", 0, 3), ("b", 0, 3), ("w01", 1, 1), ("w02", 2, 1)]
-    assert x.basepoint == "b" and x.tags["cone_a"] == "a"
+    assert x.basepoint == "b"
     assert x.boundary_of("w01") == (("a", (1,)), ("b", (-1,)))
     assert x.boundary_of("w02") == (("w01", (-1, 1, 0)),)
     x.verify_dd()
@@ -148,7 +149,7 @@ def test_minimal_rep_sphere_underlying_spheres():
 def test_quotient_of_periodic_model_is_lens_space():
     x = ecp_skeleton(3, 3)
     q = x.quotient()
-    assert q.cells_per_dim() == (1, 1, 1, 1, 1, 1)
+    assert [len(layer) for layer in q.layers] == [1, 1, 1, 1, 1, 1]
     assert homology_list(q) == [Z(1), Z(0, (3,)), Z(0), Z(0, (3,)), Z(0), Z(1)]
 
 
@@ -263,6 +264,23 @@ def test_save_load_roundtrip():
     based = rep_sphere(irrep(g, 1))
     z = load_gcw(save_gcw(based))
     assert z == based and z.basepoint == based.basepoint
+
+
+def test_save_refuses_ids_the_format_cannot_carry():
+    g = CyclicGroup(3)
+    for bad in ("", "v 0", "v\t0", "v#0", "v[0", "v;0"):
+        x = GCWComplex(g, [Cell(bad, 0, 1)], {})
+        with pytest.raises(InvariantViolation) as err:
+            save_gcw(x)
+        assert repr(bad) in str(err.value)
+    # a bad id in a boundary target is refused the same way
+    x = GCWComplex(g, [Cell("v 0", 0, 1), Cell("e", 1, 1)],
+                   {"e": [("v 0", (-1, 1, 0))]})
+    with pytest.raises(InvariantViolation, match="'v 0'"):
+        save_gcw(x)
+    # the separators the format does allow round-trip
+    y = GCWComplex(g, [Cell("a:b]0,", 0, 1)], {})
+    assert load_gcw(save_gcw(y)) == y
 
 
 def test_load_parses_comments_and_words():

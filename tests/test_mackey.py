@@ -7,6 +7,8 @@ from bredonkit.cyclic_reps import CyclicGroup, VirtualRep, irrep, trivial_rep
 from bredonkit.errors import MissingBasepoint, UnsupportedGrading
 from bredonkit.exact_linalg import GroupPresentation
 from bredonkit.gcw_complex import (
+    Cell,
+    GCWComplex,
     based_zero_sphere,
     minimal_rep_sphere,
     plus_point,
@@ -17,10 +19,10 @@ from bredonkit.gcw_complex import (
 from bredonkit.mackey_bredon import (
     BredonComplex,
     CohomologyClass,
+    MackeyCoefficients,
     bredon_cohomology,
     bredon_homology,
     euler_action,
-    fixed_point_mackey,
     is_zero_sphere,
     ro_graded_cohomology,
 )
@@ -30,25 +32,28 @@ F = GroupPresentation.mod_p
 
 
 def test_constant_functor_maps():
+    # three arcs between two fixed points of C_6, one orbit with stabilizer
+    # of order 2: the chains weight the arcs by the transfer index
+    # [C_6 : C_2] = 3, the cochains by the restriction, the identity
     g = CyclicGroup(6)
-    m = fixed_point_mackey("Z", g)
-    assert m.value(2) == Z(1)
-    assert m.restriction(1, 6) == 1
-    assert m.transfer(1, 6) == 6
-    assert m.transfer(2, 6) == 3
-    # double-coset identity for nested cyclic subgroups
-    assert m.transfer(2, 6) * m.restriction(2, 6) == 3
-    with pytest.raises(ValueError):
-        m.transfer(4, 6)
-    mp = fixed_point_mackey(("F", 5), CyclicGroup(5))
-    assert mp.value(5) == F(5, 1)
-    assert mp.transfer(1, 5) == 5  # reduces to 0 in the mod-p matrices
+    x = GCWComplex(g, [Cell("v", 0, 6), Cell("w", 0, 6), Cell("e", 1, 2)],
+                   {"e": [("v", (-1,)), ("w", (1,))]})
+    b = BredonComplex(x, MackeyCoefficients(g, "Z"))
+    assert b.boundary_matrix(1).data == [[-3], [3]]
+    assert b.cochain_matrix(0).data == [[-1, 1]]
+    assert bredon_homology(x, MackeyCoefficients(g, "Z"), 0) == Z(1, (3,))
+    # five free arcs over C_5: the transfer 5 is 0 mod 5
+    g5 = CyclicGroup(5)
+    x5 = GCWComplex(g5, [Cell("v", 0, 5), Cell("w", 0, 5), Cell("e", 1, 1)],
+                    {"e": [("v", (-1,)), ("w", (1,))]})
+    assert bredon_homology(x5, MackeyCoefficients(g5, ("F", 5)), 0) == F(5, 2)
+    assert bredon_homology(x5, MackeyCoefficients(g5, "Z"), 0) == Z(1, (5,))
 
 
 def test_rotation_square_sphere_over_c6():
     # S^(xi^2) over C_6: top reduced cohomology is Z, bottom reduced homology Z/3
     g = CyclicGroup(6)
-    m = fixed_point_mackey("Z", g)
+    m = MackeyCoefficients(g, "Z")
     x = rep_sphere(irrep(g, 2))
     assert bredon_cohomology(x, m, 2, reduced=True) == Z(1)
     assert bredon_cohomology(x, m, 1, reduced=True) == Z(0)
@@ -63,7 +68,7 @@ def test_two_point_sphere_reduced():
         g = CyclicGroup(n)
         x = based_zero_sphere(g)
         assert is_zero_sphere(x)
-        m = fixed_point_mackey("Z", g)
+        m = MackeyCoefficients(g, "Z")
         assert bredon_cohomology(x, m, 0, reduced=True) == Z(1)
         assert bredon_cohomology(x, m, 1, reduced=True) == Z(0)
         assert bredon_homology(x, m, 0, reduced=True) == Z(1)
@@ -71,7 +76,7 @@ def test_two_point_sphere_reduced():
 
 def test_free_circle_plus_basepoint_mod_3():
     g = CyclicGroup(3)
-    m = fixed_point_mackey(("F", 3), g)
+    m = MackeyCoefficients(g, ("F", 3))
     x = plus_point(sphere_of_rep(irrep(g, 1)))
     assert bredon_cohomology(x, m, 0, reduced=True) == F(3, 1)
     assert bredon_cohomology(x, m, 1, reduced=True) == F(3, 1)
@@ -80,14 +85,14 @@ def test_free_circle_plus_basepoint_mod_3():
 
 def test_reduced_needs_basepoint():
     g = CyclicGroup(3)
-    m = fixed_point_mackey("Z", g)
+    m = MackeyCoefficients(g, "Z")
     with pytest.raises(MissingBasepoint):
         bredon_cohomology(sphere_of_rep(irrep(g, 1)), m, 0, reduced=True)
 
 
 def test_negative_degree_is_zero():
     g = CyclicGroup(3)
-    m = fixed_point_mackey("Z", g)
+    m = MackeyCoefficients(g, "Z")
     x = based_zero_sphere(g)
     assert bredon_cohomology(x, m, -1, reduced=True) == Z(0)
     assert bredon_homology(x, m, -2, reduced=True) == Z(0)
@@ -97,14 +102,14 @@ def test_bredon_differentials_square_to_zero():
     g = CyclicGroup(6)
     x = rep_sphere(VirtualRep(g, {1: 1, 3: 1}))
     for ring in ("Z", ("F", 3)):
-        m = fixed_point_mackey(ring, g)
+        m = MackeyCoefficients(g, ring)
         for reduced in (False, True):
             assert BredonComplex(x, m, reduced=reduced).verify_dd()
 
 
 def test_graded_point_positive_cone():
     g = CyclicGroup(3)
-    m = fixed_point_mackey(("F", 3), g)
+    m = MackeyCoefficients(g, ("F", 3))
     s0 = based_zero_sphere(g)
     # the Euler class generator in grading xi
     assert ro_graded_cohomology(s0, m, VirtualRep(g, {1: 1})) == F(3, 1)
@@ -116,7 +121,7 @@ def test_graded_point_positive_cone():
 
 def test_graded_point_negative_cone():
     g = CyclicGroup(3)
-    m = fixed_point_mackey(("F", 3), g)
+    m = MackeyCoefficients(g, ("F", 3))
     s0 = based_zero_sphere(g)
     # first nonzero class of the negative cone sits in grading 2 - xi
     assert ro_graded_cohomology(s0, m, (2, -1)) == F(3, 1)
@@ -127,7 +132,7 @@ def test_graded_point_negative_cone():
 
 def test_graded_free_sphere_quotient_periodicity():
     g = CyclicGroup(3)
-    m = fixed_point_mackey(("F", 3), g)
+    m = MackeyCoefficients(g, ("F", 3))
     x = sphere_of_rep(VirtualRep(g, {1: 3}))  # free, quotient is a lens space
     assert ro_graded_cohomology(x, m, VirtualRep(g, {0: 1, 1: 1})) == F(3, 1)
     assert ro_graded_cohomology(x, m, (0, 3)) == F(3, 0)  # above the quotient dim
@@ -136,12 +141,12 @@ def test_graded_free_sphere_quotient_periodicity():
 
 def test_graded_refusals():
     g = CyclicGroup(5)
-    m = fixed_point_mackey("Z", g)
+    m = MackeyCoefficients(g, "Z")
     s0 = based_zero_sphere(g)
     with pytest.raises(UnsupportedGrading):
         ro_graded_cohomology(s0, m, VirtualRep(g, {1: 1, 2: -1}))
     x = rep_sphere(irrep(CyclicGroup(6), 2))
-    m6 = fixed_point_mackey("Z", CyclicGroup(6))
+    m6 = MackeyCoefficients(CyclicGroup(6), "Z")
     with pytest.raises(UnsupportedGrading):
         # positive direction on a non-free complex with fixed cells
         ro_graded_cohomology(x, m6, (0, 1))
@@ -149,7 +154,7 @@ def test_graded_refusals():
 
 def test_graded_integer_slice_matches_bredon():
     g = CyclicGroup(6)
-    m = fixed_point_mackey("Z", g)
+    m = MackeyCoefficients(g, "Z")
     x = rep_sphere(irrep(g, 2))
     for k in range(3):
         assert ro_graded_cohomology(x, m, (k, 0)) == bredon_cohomology(
@@ -158,7 +163,7 @@ def test_graded_integer_slice_matches_bredon():
 
 def test_trivial_suspension_shifts_degree():
     g = CyclicGroup(3)
-    m = fixed_point_mackey(("F", 3), g)
+    m = MackeyCoefficients(g, ("F", 3))
     x = plus_point(sphere_of_rep(irrep(g, 1)))
     sx = smash(rep_sphere(trivial_rep(g)), x)
     for k in range(4):
@@ -172,7 +177,7 @@ def test_suspension_consistency_across_rules():
     sxi = minimal_rep_sphere(3, 1)
     spaces = [based_zero_sphere(g), plus_point(sphere_of_rep(irrep(g, 1)))]
     for ring in (("F", 3), "Z"):
-        m = fixed_point_mackey(ring, g)
+        m = MackeyCoefficients(g, ring)
         for x in spaces:
             sx = smash(sxi, x)
             for mm in range(-6, 7):
@@ -187,7 +192,7 @@ def test_suspension_consistency_across_rules():
 
 def test_euler_action_trivial_summand_kills():
     g = CyclicGroup(3)
-    m = fixed_point_mackey(("F", 3), g)
+    m = MackeyCoefficients(g, ("F", 3))
     s0 = based_zero_sphere(g)
     one = CohomologyClass((0, 0), (1,), ro_graded_cohomology(s0, m, (0, 0)))
     out = euler_action(s0, m, one, VirtualRep(g, {0: 1, 1: 1}))
@@ -196,7 +201,7 @@ def test_euler_action_trivial_summand_kills():
 
 def test_euler_action_point_cone():
     g = CyclicGroup(3)
-    m = fixed_point_mackey(("F", 3), g)
+    m = MackeyCoefficients(g, ("F", 3))
     s0 = based_zero_sphere(g)
     one = CohomologyClass((0, 0), (1,), ro_graded_cohomology(s0, m, (0, 0)))
     a1 = euler_action(s0, m, one, irrep(g, 1))
@@ -207,13 +212,3 @@ def test_euler_action_point_cone():
     with pytest.raises(UnsupportedGrading):
         euler_action(s0, m, below, irrep(g, 1))
 
-
-def test_class_records_serialize():
-    g = CyclicGroup(3)
-    m = fixed_point_mackey(("F", 3), g)
-    s0 = based_zero_sphere(g)
-    c = CohomologyClass((0, 1), (2,), ro_graded_cohomology(s0, m, (0, 1)),
-                        model={"kind": "point-cone"})
-    rec = c.to_record()
-    assert rec["grading"] == [0, 1] and rec["vector"] == [2]
-    assert rec["home"] == "F_3"

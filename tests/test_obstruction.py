@@ -127,11 +127,11 @@ def test_antipodal_certificates_are_unconditional():
     for d in (2, 3, 4, 5):
         cert = certify(conf2_problem(d))
         assert cert.data["rechecked"] is True
-        assert cert.assumptions == []
+        assert cert["assumptions"] == []
         assert cert.data["target_record"]["group"] == "0"
         assert cert.data["witness_record"]["vector"] == [1]
         assert cert.data["witness_record"]["k"] == d - 1
-        assert "Borsuk-Ulam" in cert.conclusion
+        assert "Borsuk-Ulam" in cert["conclusion"]
         assert cert.data["problem"]["kind"] == "conf2-model"
 
 
@@ -139,7 +139,7 @@ def test_surrogate_certificates_carry_the_assumption():
     for p, d in ((3, 2), (3, 3), (5, 2)):
         cert = certify(surrogate_problem(p, d))
         assert cert.data["rechecked"] is True
-        assert cert.assumptions == [ASSUMPTION_SURROGATE]
+        assert cert["assumptions"] == [ASSUMPTION_SURROGATE]
         assert cert.data["target_record"]["group"] == "0"
         assert cert.data["witness_record"]["vector"] != []
         k = critical_exponent(p, d)
@@ -166,7 +166,7 @@ def test_inadequate_sources_fail_loudly():
 
 def test_user_model_certificates_round_trip_through_json():
     cert = certify(user_problem(2, 3, conf2_model(3)))
-    assert cert.assumptions == [ASSUMPTION_USER]
+    assert cert["assumptions"] == [ASSUMPTION_USER]
     assert "group cyclic 2" in cert.data["problem"]["model"]
     blob = cert.to_json()
     assert recheck(json.loads(blob)) is True
@@ -182,6 +182,28 @@ def test_tampered_certificates_are_rejected():
     data["target_record"]["group"] = "F_2"
     with pytest.raises(CertificateFailed):
         recheck(data)
+
+
+def test_malformed_certificates_are_rejected():
+    blob = certify(conf2_problem(3)).to_json()
+
+    def without_target(data):
+        del data["target_record"]
+
+    def without_d(data):
+        del data["problem"]["d"]
+
+    def d_as_text(data):
+        data["problem"]["d"] = "three"
+
+    def emptied(data):
+        data.clear()
+
+    for mutate in (without_target, without_d, d_as_text, emptied):
+        data = json.loads(blob)
+        mutate(data)
+        with pytest.raises(CertificateFailed):
+            recheck(data)
 
 
 def test_certificate_payload_shape():

@@ -18,7 +18,6 @@ from bredonkit.gcw_complex import (
 from bredonkit.mackey_bredon import (
     BredonComplex,
     MackeyCoefficients,
-    fixed_point_mackey,
     ro_graded_cohomology,
 )
 
@@ -110,7 +109,7 @@ def eager_boundary(layers, mats, k):
     if 1 <= k < len(layers):
         return mats[k - 1]
     size = lambda j: len(layers[j]) if 0 <= j < len(layers) else 0
-    return IntMatrix.zeros(size(k - 1), size(k))
+    return IntMatrix(size(k - 1), size(k))
 
 
 def models():
@@ -165,7 +164,7 @@ def test_quotient_and_expand_match_the_eager_builders():
 
 def test_bredon_matrices_match_the_eager_builders():
     for label, x in models():
-        mackey = fixed_point_mackey("Z", x.group)
+        mackey = MackeyCoefficients(x.group, "Z")
         for reduced in (False, True):
             if reduced and not x.is_based:
                 continue

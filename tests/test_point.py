@@ -5,8 +5,10 @@ import math
 
 import pytest
 
+from bredonkit import point_algebra
 from bredonkit.cyclic_reps import CyclicGroup, irrep
 from bredonkit.errors import NotPrime, TrivialCharacter
+from bredonkit.gcw_complex import load_gcw, rep_sphere, save_gcw
 from bredonkit.point_algebra import (
     euler_order,
     euler_reduced_regular_vanishes,
@@ -142,6 +144,32 @@ def test_euler_order_divides_group_order():
             order = euler_order(g, k)
             assert n % order == 0
             assert (order == n) == (math.gcd(n, k) == 1)
+
+
+def test_cone_point_is_found_from_the_structure(monkeypatch):
+    seen = []
+    order = point_algebra._cone_class_order
+
+    def recording(x):
+        seen.append(point_algebra._cone_point(x))
+        return order(x)
+    monkeypatch.setattr(point_algebra, "_cone_class_order", recording)
+    for n in range(2, 31):
+        g = CyclicGroup(n)
+        for k in g.nontrivial_labels():
+            euler_order(g, k)
+            assert seen.pop() == "b:ta"
+        euler_reduced_regular_vanishes(g)
+        # the trivial piece comes last, after one piece per nontrivial label
+        assert seen.pop() == "p%d:ta" % len(g.nontrivial_labels())
+
+
+def test_cone_class_order_survives_a_save_and_load():
+    for n in range(2, 13):
+        g = CyclicGroup(n)
+        for k in g.nontrivial_labels():
+            x = load_gcw(save_gcw(rep_sphere(irrep(g, k))))
+            assert point_algebra._cone_class_order(x) == n // math.gcd(n, k)
 
 
 def test_reduced_regular_vanishing_composite():

@@ -173,7 +173,6 @@ def assert_same(got, want):
     assert got.cells == want.cells
     assert got.boundary == want.boundary
     assert got.basepoint == want.basepoint
-    assert got.tags == want.tags
     assert all(type(c) is int for entries in got.boundary.values()
                for _, word in entries for c in word)
     got._validate()

@@ -55,7 +55,6 @@ def rep_corpus():
 def assert_same(got, want):
     assert got == want
     assert got.basepoint == want.basepoint
-    assert got.tags == want.tags
     assert got.by_id == want.by_id
     assert [c.id for c in got.cells] == [c.id for c in want.cells]
     got._validate()
@@ -66,10 +65,10 @@ def test_plus_point_matches_the_full_constructor():
     for x in corpus:
         y = plus_point(x)
         full = GCWComplex(x.group, list(x.cells) + [Cell("+", 0, x.group.order)],
-                          x.boundary, basepoint="+", tags=x.tags)
+                          x.boundary, basepoint="+")
         assert_same(y, full)
         assert y.boundary is x.boundary
-        assert y.tags is not x.tags and y.by_id is not x.by_id
+        assert y.by_id is not x.by_id
         with pytest.raises(InvariantViolation, match="duplicate cell id"):
             plus_point(y)
     # the parents are left as they were
@@ -80,8 +79,7 @@ def test_rep_sphere_matches_the_full_constructor():
     for v in rep_corpus():
         x = sphere_of_rep(v + trivial_rep(v.group))
         nest = "b:" * (len(v.summands()) + v.multiplicity(0))
-        full = GCWComplex(x.group, x.cells, x.boundary, basepoint=nest + "tb",
-                          tags={"cone_a": nest + "ta"})
+        full = GCWComplex(x.group, x.cells, x.boundary, basepoint=nest + "tb")
         assert_same(rep_sphere(v), full)
 
 
@@ -90,15 +88,15 @@ def test_rebased_skeleton_matches_the_full_constructor():
         # based at the far cone point of the trivial piece, the last one
         base = "p%d:tb" % len(sk.group.nontrivial_labels())
         full = GCWComplex(sk.group, sk.cells, sk.boundary, basepoint=base)
-        assert_same(sk._rebased(base, None), full)
+        assert_same(sk._rebased(base), full)
 
 
 def test_rebase_checks_the_new_basepoint():
     x = sphere_of_rep(irrep(CyclicGroup(3), 1))
     with pytest.raises(InvariantViolation, match="does not exist"):
-        x._rebased("missing", None)
+        x._rebased("missing")
     with pytest.raises(InvariantViolation, match="fixed 0-cell"):
-        x._rebased("v0", None)
+        x._rebased("v0")
 
 
 def sorted_first_fixed_cell(x, ignore_basepoint):
