@@ -24,7 +24,8 @@ class NotPrime(BredonKitError):
 
 
 class PrimeTooLarge(BredonKitError):
-    """F_p coefficients whose products of two residues overflow int64."""
+    """F_p with (p - 1)**2 >= 2**63 (kept for now, see check_coeff), or a
+    number past the range where primality is decided exactly."""
 
 
 class TrivialCharacter(BredonKitError):

@@ -1,20 +1,19 @@
-"""Exact matrix algebra over Z and F_p.
+"""Exact matrix algebra over Z and F_p, on Python ints.
 
 Integer work (Smith normal form, integral homology, element orders in
 cokernels, the d o d checks) is pure Python on arbitrary-precision ints.
 Integral homology runs at most three SNFs at any size: the kernel basis of d_out,
 one solve_integral for all image columns, and the relation matrix.
-Mod-p work is a separate vectorized Gauss-Jordan path on numpy int64
-arrays.  The cochain matrices it sees are sparse, so each pivot updates
-only the rows that are nonzero in its column, and only from that column
-on.  Every product it forms is still one of two reduced entries, so
-check_coeff refuses a prime p unless (p - 1)**2 < 2**63.
+Mod-p work is one sparse Gauss-Jordan kernel, fp_row_reduce, on rows
+stored as {column: residue} dicts; fp_rank and fp_solve wrap it.  The
+cochain matrices it sees are more than 99% zero, so it keeps a column ->
+rows index and each pivot touches only the rows that hold its column.
 
 Everything is a pure function on immutable-in-spirit inputs; nothing here
 keeps state between calls.
 """
 
-import numpy as np
+from itertools import compress
 
 from .errors import CompositionNotZero, NotPrime, PrimeTooLarge
 
@@ -79,11 +78,14 @@ class IntMatrix:
     def is_zero(self):
         return all(x == 0 for row in self.data for x in row)
 
-    def to_fp(self, p):
-        """numpy int64 copy with entries reduced into [0, p)."""
-        if self.rows == 0 or self.cols == 0:
-            return np.zeros((self.rows, self.cols), dtype=np.int64)
-        return np.array([[x % p for x in row] for row in self.data], dtype=np.int64)
+    def nonzeros(self):
+        """The sparse rows of this matrix: one {column: entry} dict per row."""
+        cols = range(self.cols)
+        return [{j: row[j] for j in compress(cols, row)} for row in self.data]
+
+    @property
+    def size(self):
+        return self.rows * self.cols
 
     def __eq__(self, other):
         return (isinstance(other, IntMatrix) and self.rows == other.rows
@@ -346,14 +348,17 @@ def check_prime(p):
 
 
 def check_coeff(coeff):
-    """The ring "Z" or ("F", p), p a prime small enough for int64 work."""
+    """The ring "Z" or ("F", p) for a prime p with (p - 1)**2 < 2**63.
+
+    The bound is left from an int64 kernel; fp_row_reduce is exact for any
+    p, and the bound stays until a change that lifts it with its own tests.
+    """
     if coeff == "Z":
         return coeff
     if isinstance(coeff, tuple) and len(coeff) == 2 and coeff[0] == "F":
         p = int(coeff[1])
         if (p - 1) ** 2 >= 2 ** 63:
-            raise PrimeTooLarge("F_p needs (p - 1)^2 < 2^63 for int64 "
-                                "elimination, got p = %d" % p)
+            raise PrimeTooLarge("F_p needs (p - 1)^2 < 2^63, got p = %d" % p)
         return ("F", check_prime(p))
     raise ValueError("coefficient ring must be 'Z' or ('F', p)")
 
@@ -412,9 +417,8 @@ def homology_at(d_in, d_out, coeff):
     coeff = check_coeff(coeff)
     if d_in.rows != d_out.cols:
         raise ValueError("middle module size mismatch")
-    comp = d_out.mul(d_in)
     if coeff == "Z":
-        if not comp.is_zero():
+        if not d_out.mul(d_in).is_zero():
             raise CompositionNotZero("d_out . d_in != 0 over Z")
         kb = kernel_basis(d_out)
         if kb.cols == 0:
@@ -428,76 +432,90 @@ def homology_at(d_in, d_out, coeff):
         tor = tuple(d for d in dec.invariant_factors if d > 1)
         return GroupPresentation.integral(kb.cols - dec.rank, tor)
     p = coeff[1]
-    if any(x % p for row in comp.data for x in row):
-        raise CompositionNotZero("d_out . d_in != 0 mod %d" % p)
-    dim = d_out.cols - fp_rank(d_out.to_fp(p), p) - fp_rank(d_in.to_fp(p), p)
+    rows_in, rows_out = d_in.nonzeros(), d_out.nonzeros()
+    for row in rows_out:
+        comp = {}
+        for k, a in row.items():
+            for j, b in rows_in[k].items():
+                comp[j] = comp.get(j, 0) + a * b
+        if any(x % p for x in comp.values()):
+            raise CompositionNotZero("d_out . d_in != 0 mod %d" % p)
+    dim = (d_out.cols - fp_rank(rows_out, d_out.cols, p)
+           - fp_rank(rows_in, d_in.cols, p))
     return GroupPresentation.mod_p(p, dim)
 
 
 # ---------------------------------------------------------------------------
-# mod-p path (numpy int64)
+# mod-p path: sparse rows of Python ints
 
-def fp_row_reduce(m, p):
-    """Reduced row echelon form mod p.  Returns (array, pivot column list).
+def fp_row_reduce(rows, cols, p):
+    """Reduced row echelon form mod p.  Returns (IntMatrix, pivot column list).
 
-    The array is a new C-ordered int64 array with entries in [0, p).  Each
-    pivot at (r, c) updates only the rows nonzero in column c, and only
-    columns c onwards: rows r onwards are zero left of c, since every
-    earlier column either has a pivot above r or was zero from r down.
-    Each product is of two entries in [0, p), so (p - 1)**2 < 2**63 keeps
-    the arithmetic inside int64.
+    rows are the matrix's sparse rows, {column: int} dicts with columns in
+    range(cols); they are not modified.  Columns are taken left to right,
+    each pivoting on its sparsest live row (lowest index on a tie) and
+    clearing the rows a column -> rows index names.  The RREF is unique, so
+    that choice changes only the work; its pivot rows come first.
     """
-    a = np.array(m, dtype=np.int64) % p
-    if a.ndim != 2:
-        raise ValueError("need a 2-D array")
-    rows, cols = a.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = a[r:, c].nonzero()[0]
-        if nz.size == 0:
+    rows = [{j: x % p for j, x in row.items() if x % p} for row in rows]
+    where = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            where.setdefault(j, set()).add(i)
+    live = set(range(len(rows)))
+    order, pivots = [], []
+    for c in sorted(where):
+        hit = where[c]
+        cand = hit & live
+        if not cand:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i], c:] = a[[i, r], c:]
-        row = a[r, c:]          # a view: scaled in place
-        row *= pow(int(row[0]), p - 2, p)
-        row %= p
-        a[r, c] = 0             # hide the pivot row from the search
-        hit = a[:, c].nonzero()[0]
-        a[r, c] = 1
-        if hit.size:
-            sub = a[hit, c:]
-            sub -= sub[:, :1] * row
-            sub %= p
-            a[hit, c:] = sub
+        r = min(cand, key=lambda i: (len(rows[i]), i))
+        inv = pow(rows[r].pop(c), -1, p)
+        rows[r] = prow = {j: x * inv % p for j, x in rows[r].items()}
+        for i in hit:
+            if i == r:
+                continue
+            row = rows[i]
+            f = p - row.pop(c)
+            for j, x in prow.items():
+                y = row.get(j)
+                if y is None:           # fill-in: f * x is a unit mod p
+                    row[j] = f * x % p
+                    where[j].add(i)
+                else:
+                    y = (y + f * x) % p
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
+                        where[j].discard(i)
+        prow[c] = 1
+        live.discard(r)
+        order.append(r)
         pivots.append(c)
-        r += 1
-    return a, pivots
+    out = IntMatrix(len(rows), cols)
+    for dense, r in zip(out.data, order):
+        for j, x in rows[r].items():
+            dense[j] = x
+    return out, pivots
 
 
-def fp_rank(m, p):
-    a = np.asarray(m)
-    if a.size == 0:
-        return 0
-    return len(fp_row_reduce(a, p)[1])
+def fp_rank(rows, cols, p):
+    """Rank mod p of the matrix given by its sparse rows."""
+    return len(fp_row_reduce(rows, cols, p)[1])
 
 
-def fp_solve(m, b, p):
-    """One solution x of m.x = b mod p, or None."""
-    a = np.asarray(m, dtype=np.int64) % p
-    rhs = (np.asarray(b, dtype=np.int64) % p).reshape(-1, 1)
-    if a.shape[0] != rhs.shape[0]:
+def fp_solve(rows, cols, b, p):
+    """One solution x (a list of residues) of m.x = b mod p, or None.
+
+    m is given as fp_row_reduce takes it; b has one int per row."""
+    if len(b) != len(rows):
         raise ValueError("shape mismatch")
-    if a.shape[1] == 0:
-        return None if np.any(rhs) else np.zeros(0, dtype=np.int64)
-    aug, pivots = fp_row_reduce(np.hstack([a, rhs]), p)
-    if a.shape[1] in pivots:
+    aug = [{**row, cols: v} if v % p else row for row, v in zip(rows, b)]
+    red, pivots = fp_row_reduce(aug, cols + 1, p)
+    if pivots and pivots[-1] == cols:
         return None
-    x = np.zeros(a.shape[1], dtype=np.int64)
-    for r, c in enumerate(pivots):
-        x[c] = aug[r, -1]
+    x = [0] * cols
+    for dense, c in zip(red.data, pivots):
+        x[c] = dense[cols]
     return x
-

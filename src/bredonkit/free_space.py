@@ -19,7 +19,7 @@ classifying map; it is the composite (a action) o (u-inverse action),
 which is the same element of the ring.
 """
 
-import numpy as np
+from collections import defaultdict
 
 from .cyclic_reps import VirtualRep, irrep
 from .errors import (InvariantViolation, KappaUnsupported, NotFree,
@@ -44,14 +44,14 @@ def free_prime(x):
     return p
 
 
-def _normal_form(u, db_prev, p):
-    """Canonical coset representative of u modulo the columns of db_prev."""
-    u = np.asarray(u, dtype=np.int64) % p
-    if u.size == 0 or db_prev.shape[1] == 0:
-        return u
-    red, pivots = fp_row_reduce(db_prev.T, p)
-    for r, c in enumerate(pivots):
-        u = (u - int(u[c]) * red[r]) % p
+def _normal_form(u, span, p):
+    """Canonical coset representative of u modulo the span of sparse rows."""
+    u = [x % p for x in u]
+    red, pivots = fp_row_reduce(span, len(u), p)
+    for row, c in zip(red.data, pivots):
+        f = u[c]
+        if f:
+            u = [(x - f * y) % p for x, y in zip(u, row)]
     return u
 
 
@@ -72,7 +72,7 @@ class _FiberModel:
         self.p = p
         # edge_word: boundary of the fiber edge as (position, coeff) pairs,
         # or None when the fiber is the free two-point sphere (p = 2).
-        self.edge_word = tuple(edge_word) if edge_word is not None else None
+        self.edge_word = edge_word
         q = x.quotient(drop_basepoint=x.is_based)
         self.q = q
         self.ids = q.layers
@@ -81,14 +81,10 @@ class _FiberModel:
         self.words = {}
         for s in range(1, len(self.ids)):
             for cid in self.ids[s]:
-                terms = []
-                for tid, word in x.boundary_of(cid):
-                    if tid not in index[s - 1]:
-                        continue  # collapsed basepoint
-                    i = index[s - 1][tid]
-                    terms.extend((i, a, c) for a, c in enumerate(word) if c)
-                self.words[cid] = tuple(terms)
-        self._de = {}
+                self.words[cid] = tuple(
+                    (index[s - 1][tid], a, c) for tid, word in x.boundary_of(cid)
+                    if tid in index[s - 1]      # else a collapsed basepoint
+                    for a, c in enumerate(word) if c)
 
     # -- sizes ------------------------------------------------------------
 
@@ -96,29 +92,25 @@ class _FiberModel:
         return len(self.ids[s]) if 0 <= s < len(self.ids) else 0
 
     def esize(self, s):
-        n = self.p * self.bsize(s)
-        if self.edge_word is not None:
-            n += self.p * self.bsize(s - 1)
-        return n
+        edges = self.bsize(s - 1) if self.edge_word is not None else 0
+        return self.p * (self.bsize(s) + edges)
 
     # -- structure matrices (all act on cochain vectors mod p) ------------
 
     def dbmat(self, s):
-        """delta_B: B^s -> B^(s+1), the quotient coboundary."""
-        return self.q.coboundary(s).to_fp(self.p)
+        """delta_B: B^s -> B^(s+1), the quotient coboundary, as sparse rows."""
+        return self.q.coboundary(s).nonzeros()
 
     def demat(self, s):
-        """delta_E: E^s -> E^(s+1) for the total-space quotient."""
-        if s in self._de:
-            return self._de[s]
+        """delta_E: E^s -> E^(s+1) for the total-space quotient, as sparse rows."""
         p = self.p
         nb0, nb1 = self.bsize(s), self.bsize(s + 1)
-        m = np.zeros((self.esize(s + 1), self.esize(s)), dtype=np.int64)
+        m = [defaultdict(int) for _ in range(self.esize(s + 1))]
         # vertex-type (s+1)-cells sit over (s+1)-cells of the base
         for j, cid in enumerate(self.ids[s + 1] if s + 1 < len(self.ids) else []):
             for i, a, c in self.words[cid]:
                 for d in range(p):
-                    m[d * nb1 + j, ((d + a) % p) * nb0 + i] += c
+                    m[d * nb1 + j][((d + a) % p) * nb0 + i] += c
         if self.edge_word is not None:
             roff = p * nb1
             coff = p * nb0
@@ -128,12 +120,10 @@ class _FiberModel:
                 for d in range(p):
                     row = roff + d * nb0 + j
                     for pos, c in self.edge_word:
-                        m[row, ((d - pos) % p) * nb0 + j] += c
+                        m[row][((d - pos) % p) * nb0 + j] += c
                     for i, a, c in self.words.get(cid, ()):
-                        m[row, coff + ((d + a) % p) * nbm + i] -= c
-        m %= p
-        self._de[s] = m
-        return m
+                        m[row][coff + ((d + a) % p) * nbm + i] -= c
+        return [{j: x % p for j, x in row.items() if x % p} for row in m]
 
     # -- the Euler step ----------------------------------------------------
 
@@ -148,46 +138,43 @@ class _FiberModel:
         p = self.p
         qdeg = s + 1 if self.edge_word is not None else s
         out = qdeg + 1
-        if self.bsize(s) == 0:
-            return np.zeros(self.bsize(out), dtype=np.int64)
-        u = np.asarray(u, dtype=np.int64) % p
-        if u.shape[0] != self.bsize(s):
+        ns = self.bsize(s)
+        u = [x % p for x in u]
+        if len(u) != ns:
             raise ValueError("cochain does not match the quotient in degree %d" % s)
-        if np.any((self.dbmat(s) @ u) % p):
+        if any(sum(x * u[j] for j, x in row.items()) % p for row in self.dbmat(s)):
             raise ValueError("Euler step needs a cocycle")
-        nb, nbo, nw = self.bsize(qdeg), self.bsize(out), self.bsize(s - 1)
-        de = self.demat(qdeg)[:, nb:]   # delta_E on the gauge lift of Q
-        nq = de.shape[1]
+        nb, nbo = self.bsize(qdeg), self.bsize(out)
+        nq = self.esize(qdeg) - nb
+        # delta_E on the gauge lift of Q: drop the translate-0 vertex columns
+        de = [{j - nb: x for j, x in row.items() if j >= nb}
+              for row in self.demat(qdeg)]
         # gauge projection: subtract translate 0 from every vertex block
-        dq = de[nbo:].copy()
-        dq[:(p - 1) * nbo] -= np.tile(de[:nbo], (p - 1, 1))
-        dq %= p
-        if self.edge_word is None:
-            fib = np.eye(nb, nq, dtype=np.int64)
-        else:   # sum over the p translates of each edge cell
-            ns = self.bsize(s)
-            fib = np.hstack([np.zeros((ns, (p - 1) * nb), dtype=np.int64),
-                             np.tile(np.eye(ns, dtype=np.int64), p)])
-        top = np.hstack([dq, np.zeros((dq.shape[0], nw), dtype=np.int64)])
-        bot = np.hstack([fib, (-self.dbmat(s - 1)) % p if nw else
-                         np.zeros((self.bsize(s), 0), dtype=np.int64)])
-        rhs = np.concatenate([np.zeros(dq.shape[0], dtype=np.int64), u])
-        sol = fp_solve(np.vstack([top, bot]), rhs, p)
+        system = [dict(row) for row in de[nbo:]]
+        for r, row in enumerate(system[:(p - 1) * nbo]):
+            for j, x in de[r % nbo].items():
+                row[j] = row.get(j, 0) - x
+        # fiber sum (the identity for p = 2, else the sum over the p
+        # translates of each edge cell) less a coboundary from B^(s-1)
+        off, reps = (0, 1) if self.edge_word is None else ((p - 1) * nb, p)
+        for i, db in enumerate(self.dbmat(s - 1)):
+            row = {nq + j: -x for j, x in db.items()}
+            row.update((off + t * ns + i, 1) for t in range(reps))
+            system.append(row)
+        rhs = [0] * (len(system) - ns) + u
+        sol = fp_solve(system, nq + self.bsize(s - 1), rhs, p)
         if sol is None:
             raise InvariantViolation("fiber integration system is inconsistent")
-        dqt = (de @ (np.asarray(sol[:nq], dtype=np.int64) % p)) % p
+        dqt = [sum(x * sol[j] for j, x in row.items()) % p for row in de]
         a = dqt[:nbo]
-        if (np.any(dqt[p * nbo:])
-                or not np.array_equal(dqt[:p * nbo], np.tile(a, p))):
+        if any(dqt[p * nbo:]) or dqt[:p * nbo] != a * p:
             raise InvariantViolation("connecting cochain is not a pullback")
         return a
 
 
 def _edge_word(p, k):
     """Boundary word of the fiber edge of S(eta_k), or None for p = 2."""
-    if p == 2:
-        return None
-    return ((pow(k, -1, p), 1), (0, -1))
+    return None if p == 2 else ((pow(k, -1, p), 1), (0, -1))
 
 
 def _coerce_rep(group, v):
@@ -223,15 +210,16 @@ def euler_action_free(x, mackey, c, v):
     if v.multiplicity(0) > 0 or c.is_zero():
         return CohomologyClass.zero(target, home)
     s = m + step * n
-    vec = np.asarray(c.vector, dtype=np.int64) % p
+    vec = c.vector
     for k in chars:
         model = _FiberModel(x, p, _edge_word(p, k))
-        if vec.shape[0] != model.bsize(s):
+        if len(vec) != model.bsize(s):
             raise ValueError("class vector does not match the quotient in degree %d" % s)
         vec = model.euler_step(s, vec)
         s += step
-        vec = _normal_form(vec, model.dbmat(s - 1), p)
-    if not np.any(vec):
+        # the columns of delta_B^(s-1) are the rows of d_s
+        vec = _normal_form(vec, model.q.boundary(s).nonzeros(), p)
+    if not any(vec):
         return CohomologyClass.zero(target, home)
     return CohomologyClass(target, vec, home)
 
@@ -307,8 +295,8 @@ def unit_class(x):
     """The class of 1 in grading (0, 0): the all-ones vertex cocycle."""
     p = free_prime(x)
     q = x.quotient(drop_basepoint=x.is_based)
-    ones = np.ones(q.size(0), dtype=np.int64)
-    if np.any(q.coboundary(0).to_fp(p) @ ones % p):
+    ones = [1] * q.size(0)
+    if any(sum(row) % p for row in q.coboundary(0).data):
         raise InvariantViolation("quotient edges do not have augmentation-zero "
                                  "boundary; no canonical unit")
     return CohomologyClass((0, 0), ones, q.cohomology(0, ("F", p)))

@@ -105,14 +105,6 @@ class BredonComplex:
         return homology_at(self.cochain_matrix(k - 1), self.cochain_matrix(k),
                            self.mackey.ring)
 
-    def verify_dd(self):
-        for k in range(1, self.dim + 1):
-            if not self.boundary_matrix(k).mul(self.boundary_matrix(k + 1)).is_zero():
-                return False
-            if not self.cochain_matrix(k).mul(self.cochain_matrix(k - 1)).is_zero():
-                return False
-        return True
-
 
 def bredon_homology(x, mackey, degree, reduced=False):
     if degree < 0:

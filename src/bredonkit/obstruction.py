@@ -311,11 +311,11 @@ def _rebuild_problem(record):
 def recheck(cert):
     """Rebuild the problem from the certificate and recompute both records.
 
-    Returns True; raises CertificateFailed on any discrepancy, and when the
-    stored problem is missing, malformed or cannot be rebuilt.
+    Returns True; raises CertificateFailed on any discrepancy and when cert
+    is not a mapping, or its problem is missing, malformed or unbuildable.
     """
-    data = cert.data if isinstance(cert, ObstructionCertificate) else dict(cert)
     try:
+        data = cert.data if isinstance(cert, ObstructionCertificate) else dict(cert)
         problem = _rebuild_problem(data["problem"])
     except (KeyError, TypeError, ValueError, BredonKitError) as err:
         raise CertificateFailed("stored problem cannot be rebuilt: %s: %s"

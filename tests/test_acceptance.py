@@ -191,6 +191,17 @@ def _fuzz_complex(rng):
     return smash(minimal_rep_sphere(p, 1), minimal_rep_sphere(p, rng.randint(1, 2)))
 
 
+def bredon_dd_vanishes(b):
+    """d o d = 0 in every degree of a BredonComplex, over Z (exact ints),
+    for both the transfer-weighted chains and the cochains."""
+    for k in range(1, b.dim + 1):
+        if not b.boundary_matrix(k).mul(b.boundary_matrix(k + 1)).is_zero():
+            return False
+        if not b.cochain_matrix(k).mul(b.cochain_matrix(k - 1)).is_zero():
+            return False
+    return True
+
+
 @criterion(8)
 def test_criterion_8_structural_property_suites():
     # boundaries square to zero on a fuzzed corpus
@@ -200,7 +211,8 @@ def test_criterion_8_structural_property_suites():
         x = _fuzz_complex(rng)
         assert x.verify_dd(), x
         if i % 10 == 0:
-            assert BredonComplex(x, MackeyCoefficients(x.group, "Z")).verify_dd()
+            assert bredon_dd_vanishes(
+                BredonComplex(x, MackeyCoefficients(x.group, "Z")))
         built += 1
     assert built >= 500
 

@@ -3,7 +3,8 @@
 The SNF oracle used here is independent of the implementation: the product
 d_1 * ... * d_k of the first k invariant factors equals the gcd of all k x k
 minors (determinantal divisors), computed by brute force.  The mod-p oracle
-is a dense Gauss-Jordan that rewrites the whole matrix on every pivot.
+is a dense Gauss-Jordan on numpy int64 arrays that rewrites the whole
+matrix on every pivot; numpy is a test-only dependency.
 """
 
 import random
@@ -71,17 +72,23 @@ def determinantal_invariant_factors(m):
     return tuple(factors)
 
 
+def sparse(a):
+    """The sparse rows of a 2-D array, as fp_row_reduce takes them."""
+    a = np.asarray(a, dtype=np.int64)
+    return [{j: x for j, x in enumerate(row) if x} for row in a.tolist()]
+
+
 def fp_kernel(m, p):
     """Columns spanning ker(m) mod p, read off the reduced row echelon form."""
     a = np.asarray(m, dtype=np.int64) % p
     cols = a.shape[1]
-    red, pivots = exact_linalg.fp_row_reduce(a, p)
+    red, pivots = exact_linalg.fp_row_reduce(sparse(a), cols, p)
     free = [c for c in range(cols) if c not in pivots]
     basis = np.zeros((cols, len(free)), dtype=np.int64)
     for k, fc in enumerate(free):
         basis[fc, k] = 1
         for r, c in enumerate(pivots):
-            basis[c, k] = (-red[r, fc]) % p
+            basis[c, k] = (-red.data[r][fc]) % p
     return basis
 
 
@@ -265,8 +272,8 @@ def test_fp_rank_nullity_and_duality():
             rows = rng.randint(1, 5)
             cols = rng.randint(1, 5)
             a = np.array([[rng.randrange(p) for _ in range(cols)] for _ in range(rows)])
-            r = fp_rank(a, p)
-            assert r == fp_rank(a.T, p)  # field duality
+            r = fp_rank(sparse(a), cols, p)
+            assert r == fp_rank(sparse(a.T), rows, p)  # field duality
             ns = fp_kernel(a, p)
             assert ns.shape[1] == cols - r  # rank-nullity
             if ns.size:
@@ -276,14 +283,19 @@ def test_fp_rank_nullity_and_duality():
 def test_fp_solve_and_span():
     p = 5
     a = np.array([[1, 2], [3, 4]])
-    x = fp_solve(a, [1, 0], p)
+    x = fp_solve(sparse(a), 2, [1, 0], p)
     assert x is not None and not np.any((a @ x - np.array([1, 0])) % p)
     b = np.array([[1, 2], [2, 4]])
-    assert fp_solve(b, [0, 1], p) is None
-    assert fp_solve(b, [2, 4], p) is not None
-    red, pivots = fp_row_reduce(b, p)
+    assert fp_solve(sparse(b), 2, [0, 1], p) is None
+    assert fp_solve(sparse(b), 2, [2, 4], p) is not None
+    rows = sparse(b)
+    red, pivots = fp_row_reduce(rows, 2, p)
+    assert rows == sparse(b)        # the input is not modified
     assert pivots == [0]
-    assert list(red[0]) == [1, 2]
+    assert red == IntMatrix.from_rows([[1, 2], [0, 0]])
+    # no columns: solvable only for a zero right-hand side
+    assert fp_solve([{}, {}], 0, [0, 5], p) == []
+    assert fp_solve([{}, {}], 0, [0, 1], p) is None
 
 
 def test_group_presentation_validation():
@@ -381,14 +393,28 @@ def differential_cases():
         right = rng.integers(0, p, size=(4, 11)).astype(object)
         low = ((left @ right) % p).astype(np.int64)
         yield "rank 4", low - p * rng.integers(-2, 3, size=low.shape), p
+    # the shape and density of the largest Euler-step system (S(3xi)/C_5)
+    yield "euler scale", _random_matrix(rng, 5, 805, 653, 0.01), 5
+
+
+def dense_path(rows, cols, p):
+    """dense_row_reduce behind the interface of fp_row_reduce."""
+    a = np.zeros((len(rows), cols), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            a[i, j] = x % p
+    red, pivots = dense_row_reduce(a, p)
+    return IntMatrix(len(rows), cols, red.tolist()), pivots
 
 
 def test_fp_row_reduce_matches_dense_oracle():
     for label, m, p in differential_cases():
-        got, got_piv = fp_row_reduce(m, p)
+        got, got_piv = fp_row_reduce(sparse(m), m.shape[1], p)
         want, want_piv = dense_row_reduce(m, p)
         assert got_piv == want_piv, (label, p)
-        assert got.dtype == want.dtype and got.shape == want.shape, (label, p)
+        assert (got.rows, got.cols) == want.shape, (label, p)
+        assert all(type(x) is int for row in got.data for x in row), (label, p)
+        got = np.array(got.data, dtype=np.int64).reshape(want.shape)
         assert got.tobytes() == want.tobytes(), (label, p)
         if label == "rank 4":
             assert len(got_piv) <= 4
@@ -400,26 +426,28 @@ def test_fp_solve_and_nullspace_match_dense_oracle(monkeypatch):
     for label, m, p in differential_cases():
         rows, cols = m.shape
         x = rng.integers(0, p, size=cols).astype(object)
-        reachable = ((m.astype(object) @ x) % p).astype(np.int64)
-        loose = rng.integers(-p, 2 * p, size=rows, dtype=np.int64)
+        reachable = ((m.astype(object) @ x) % p).astype(np.int64).tolist()
+        loose = rng.integers(-p, 2 * p, size=rows, dtype=np.int64).tolist()
         runs.append((label, m, p, reachable, loose))
 
     def results():
         out = []
         for label, m, p, reachable, loose in runs:
-            out.append((fp_solve(m, reachable, p), fp_solve(m, loose, p),
-                        fp_kernel(m, p)))
+            rows = sparse(m)
+            out.append((fp_solve(rows, m.shape[1], reachable, p),
+                        fp_solve(rows, m.shape[1], loose, p), fp_kernel(m, p)))
         return out
 
     got = results()
-    monkeypatch.setattr(exact_linalg, "fp_row_reduce", dense_row_reduce)
+    monkeypatch.setattr(exact_linalg, "fp_row_reduce", dense_path)
     want = results()
     for (label, m, p, _, _), g, w in zip(runs, got, want):
         assert g[0] is not None, (label, p)
         for a, b in zip(g, w):
             assert (a is None) == (b is None), (label, p)
             if a is not None:
-                assert a.dtype == b.dtype and a.shape == b.shape, (label, p)
+                a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+                assert a.shape == b.shape, (label, p)
                 assert a.tobytes() == b.tobytes(), (label, p)
 
 

@@ -206,6 +206,17 @@ def test_malformed_certificates_are_rejected():
             recheck(data)
 
 
+def test_a_certificate_as_json_text_is_rejected():
+    # to_json() is text, not a mapping: parse it with json.loads first
+    with pytest.raises(CertificateFailed):
+        recheck(certify(conf2_problem(3)).to_json())
+
+
+def test_no_certificate_is_rejected():
+    with pytest.raises(CertificateFailed):
+        recheck(None)
+
+
 def test_certificate_payload_shape():
     cert = certify(surrogate_problem(3, 2))
     data = json.loads(cert.to_json())
