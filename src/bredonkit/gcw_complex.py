@@ -76,7 +76,11 @@ class GCWComplex:
     Complexes are shared, not copied: a complex derived by adding a
     basepoint (plus_point, rep_sphere) shares its parent's cells and
     boundary words, and cached sphere models are handed to every caller.
-    Callers must not mutate a complex, its cells or its boundary.
+    Within a product, each cell id is one string object, used by its cell
+    and by every boundary entry that points at it, and equal words are one
+    tuple (see _ProductWords).  Callers must not mutate a complex, its
+    cells, its boundary, its ids or its words: a change to one would show
+    in every complex and every entry that shares it.
     """
 
     def __init__(self, group, cells, boundary, basepoint=None):
@@ -421,9 +425,25 @@ def _check_size(what, count):
                               "of %d" % (what, count, MAX_ORBIT_CELLS))
 
 
-def _prefixed(pref, entries):
-    """Canonical words with every target renamed pref + id (order is kept)."""
-    return tuple((pref + tid, word) for tid, word in entries)
+def _skeleton_cell_count(pieces):
+    """Orbit cells of join_one_skeleton(pieces), from their low cells only."""
+    n = pieces[0].group.order
+    count = 0
+    seen = Counter()
+    for x in pieces:
+        points = Counter(c.stab for c in x.cells if c.dim == 0)
+        count += sum(1 for c in x.cells if c.dim <= 1)
+        count += sum(_pair_counts(n, seen, points).values())
+        seen += points
+    return count
+
+
+def _pair_ids(tag, xs, ys, n):
+    """Ids tag:<x>:<dr>:<y> of the product orbit cells, by x id, y id and dr."""
+    return {cx.id: {cy.id: ["%s:%s:%d:%s" % (tag, cx.id, dr, cy.id)
+                            for dr in range(_pair_orbit_count(n, cx.stab, cy.stab))]
+                    for cy in ys}
+            for cx in xs}
 
 
 def _terms(x, cid):
@@ -437,13 +457,20 @@ class _ProductWords:
 
     add() accumulates words per target id; take() returns them in canonical
     form (int tuples, one nonzero word per target, targets ascending) and
-    starts the next cell.  pair() is _normalize_pair, memoized per product.
+    starts the next cell.  renamed() copies a factor's words to renamed
+    targets.  pair() is _normalize_pair, memoized per product.
+
+    take() and renamed() hand out one tuple per distinct word from a word ->
+    word table that lives as long as the product: most of its words are the
+    same few unit vectors.  Every entry with that word shares the tuple, so
+    no caller may mutate it.
     """
 
     def __init__(self, n):
         self.n = n
         self.entries = {}
         self.pairs = {}
+        self.shared = {}
 
     def pair(self, hx, hy, a, b):
         key = (hx, hy, a, b)
@@ -458,10 +485,16 @@ class _ProductWords:
             w = self.entries[tid] = [0] * length
         w[pos % length] += coeff
 
+    def renamed(self, ids, entries):
+        """Canonical words with every target t renamed ids[t] (order is kept)."""
+        share = self.shared.setdefault
+        return tuple([(ids[tid], share(word, word)) for tid, word in entries])
+
     def take(self):
         entries, self.entries = self.entries, {}
-        return tuple([(tid, tuple(w)) for tid, w in sorted(entries.items())
-                      if any(w)])
+        share = self.shared.setdefault
+        words = [(tid, tuple(w)) for tid, w in sorted(entries.items()) if any(w)]
+        return tuple([(tid, share(w, w)) for tid, w in words])
 
 
 def join(x, y):
@@ -478,41 +511,47 @@ def join(x, y):
         raise ValueError("join of complexes over different groups")
     _check_size("the join", _join_cell_count((x, y)))
     n = x.group.order
-    cells = [Cell("a:" + c.id, c.dim, c.stab) for c in x.cells]
-    cells += [Cell("b:" + c.id, c.dim, c.stab) for c in y.cells]
-    boundary = {"a:" + cid: _prefixed("a:", entries)
-                for cid, entries in x.boundary.items()}
-    boundary.update(("b:" + cid, _prefixed("b:", entries))
-                    for cid, entries in y.boundary.items())
     words = _ProductWords(n)
     add, pair = words.add, words.pair
+    ax = {c.id: "a:" + c.id for c in x.cells}
+    by = {c.id: "b:" + c.id for c in y.cells}
+    cells = [Cell(ax[c.id], c.dim, c.stab) for c in x.cells]
+    cells += [Cell(by[c.id], c.dim, c.stab) for c in y.cells]
+    boundary = {ax[cid]: words.renamed(ax, entries)
+                for cid, entries in x.boundary.items()}
+    boundary.update((by[cid], words.renamed(by, entries))
+                    for cid, entries in y.boundary.items())
+    ids = _pair_ids("j", x.cells, y.cells, n)
     ys = [(cy, _terms(y, cy.id)) for cy in y.cells]
     for cx in x.cells:
         hx = cx.stab
-        dx = _terms(x, cx.id)
+        # each target's product ids, by y id and dr
+        dx = [(ids[tid], ht, terms) for tid, ht, terms in _terms(x, cx.id)]
+        own = ids[cx.id]
         s = -1 if cx.dim % 2 == 0 else 1
         for cy, dy in ys:
             hy = cy.stab
             hp = gcd(hx, hy)
-            for dr in range(_pair_orbit_count(n, hx, hy)):
-                pid = "j:%s:%d:%s" % (cx.id, dr, cy.id)
+            for dr, pid in enumerate(own[cy.id]):
                 cells.append(Cell(pid, cx.dim + cy.dim + 1, hp))
                 # left boundary term (dX x) * g^dr y
                 if cx.dim == 0:
-                    add("b:" + cy.id, n // hy, dr, 1)
-                for tid, ht, terms in dx:
+                    add(by[cy.id], n // hy, dr, 1)
+                for row, ht, terms in dx:
+                    tids = row[cy.id]
                     size = n // gcd(ht, hy)
                     for i, coeff in terms:
                         ndr, e = pair(ht, hy, i, dr)
-                        add("j:%s:%d:%s" % (tid, ndr, cy.id), size, e, coeff)
+                        add(tids[ndr], size, e, coeff)
                 # right boundary term, sign (-1)^(|x|+1)
                 if cy.dim == 0:
-                    add("a:" + cx.id, n // hx, 0, s)
+                    add(ax[cx.id], n // hx, 0, s)
                 for tid, ht, terms in dy:
+                    tids = own[tid]
                     size = n // gcd(hx, ht)
                     for i, coeff in terms:
                         ndr, e = pair(hx, ht, 0, dr + i)
-                        add("j:%s:%d:%s" % (cx.id, ndr, tid), size, e, s * coeff)
+                        add(tids[ndr], size, e, s * coeff)
                 entries = words.take()
                 if entries:
                     boundary[pid] = entries
@@ -540,42 +579,46 @@ def smash(x, y):
     boundary = {}
     words = _ProductWords(n)
     add, pair = words.add, words.pair
-    ys = [(cy, _terms(y, cy.id)) for cy in y.cells if cy.id != y.basepoint]
-    for cx in x.cells:
-        if cx.id == x.basepoint:
-            continue
+    xs = [cx for cx in x.cells if cx.id != x.basepoint]
+    ys = [cy for cy in y.cells if cy.id != y.basepoint]
+    ids = _pair_ids("s", xs, ys, n)
+    ys = [(cy, _terms(y, cy.id)) for cy in ys]
+    for cx in xs:
         hx = cx.stab
-        dx = _terms(x, cx.id)
+        # each target's product ids, by y id and dr; None for the basepoint
+        dx = [(ids.get(tid), ht, terms) for tid, ht, terms in _terms(x, cx.id)]
+        own = ids[cx.id]
         s = 1 if cx.dim % 2 == 0 else -1
         for cy, dy in ys:
             hy = cy.stab
             hp = gcd(hx, hy)
-            for dr in range(_pair_orbit_count(n, hx, hy)):
-                pid = "s:%s:%d:%s" % (cx.id, dr, cy.id)
+            for dr, pid in enumerate(own[cy.id]):
                 dim = cx.dim + cy.dim
                 cells.append(Cell(pid, dim, hp))
                 if dim == 0:
                     continue
-                for tid, ht, terms in dx:
-                    if tid == x.basepoint:
+                for row, ht, terms in dx:
+                    if row is None:
                         if cy.dim == 0:
                             for _, coeff in terms:
                                 add("*", 1, 0, coeff)
                         continue
+                    tids = row[cy.id]
                     size = n // gcd(ht, hy)
                     for i, coeff in terms:
                         ndr, e = pair(ht, hy, i, dr)
-                        add("s:%s:%d:%s" % (tid, ndr, cy.id), size, e, coeff)
+                        add(tids[ndr], size, e, coeff)
                 for tid, ht, terms in dy:
                     if tid == y.basepoint:
                         if cx.dim == 0:
                             for _, coeff in terms:
                                 add("*", 1, 0, s * coeff)
                         continue
+                    tids = own[tid]
                     size = n // gcd(hx, ht)
                     for i, coeff in terms:
                         ndr, e = pair(hx, ht, 0, dr + i)
-                        add("s:%s:%d:%s" % (cx.id, ndr, tid), size, e, s * coeff)
+                        add(tids[ndr], size, e, s * coeff)
                 entries = words.take()
                 if entries:
                     boundary[pid] = entries
@@ -732,42 +775,37 @@ def join_one_skeleton(pieces):
 
     Enough to read H_0 of the join; avoids building the full product lattice.
     Piece cells are prefixed p<i>:, product 1-cells connect 0-cells of
-    distinct pieces.
+    distinct pieces.  Refused with ComplexTooLarge above MAX_ORBIT_CELLS
+    orbit cells.
     """
     group = pieces[0].group
+    if any(x.group != group for x in pieces):
+        raise ValueError("join of complexes over different groups")
+    _check_size("the join 1-skeleton", _skeleton_cell_count(pieces))
     n = group.order
+    words = _ProductWords(n)
     cells = []
     boundary = {}
+    points = []  # (id, stab) of each piece's 0-cells, renamed
     for i, x in enumerate(pieces):
-        if x.group != group:
-            raise ValueError("join of complexes over different groups")
-        pref = "p%d:" % i
-        for c in x.cells:
-            if c.dim == 0:
-                cells.append(Cell(pref + c.id, 0, c.stab))
-            elif c.dim == 1:
-                cells.append(Cell(pref + c.id, 1, c.stab))
-                entries = x.boundary_of(c.id)
-                if entries:
-                    boundary[pref + c.id] = _prefixed(pref, entries)
-    words = _ProductWords(n)
-    for i, x in enumerate(pieces):
-        for j_, y in enumerate(pieces):
-            if j_ <= i:
-                continue
-            for cx in x.cells:
-                if cx.dim:
-                    continue
-                for cy in y.cells:
-                    if cy.dim:
-                        continue
-                    hx, hy = cx.stab, cy.stab
+        low = [c for c in x.cells if c.dim <= 1]
+        ids = {c.id: "p%d:%s" % (i, c.id) for c in low}
+        for c in low:
+            cells.append(Cell(ids[c.id], c.dim, c.stab))
+            entries = x.boundary_of(c.id)
+            if entries:
+                boundary[ids[c.id]] = words.renamed(ids, entries)
+        points.append([(ids[c.id], c.stab) for c in low if c.dim == 0])
+    for i, xs in enumerate(points):
+        for ys in points[i + 1:]:
+            for xid, hx in xs:
+                for yid, hy in ys:
                     hp = gcd(hx, hy)
                     for dr in range(_pair_orbit_count(n, hx, hy)):
-                        pid = "j:p%d:%s:%d:p%d:%s" % (i, cx.id, dr, j_, cy.id)
+                        pid = "j:%s:%d:%s" % (xid, dr, yid)
                         cells.append(Cell(pid, 1, hp))
-                        words.add("p%d:%s" % (j_, cy.id), n // hy, dr, 1)
-                        words.add("p%d:%s" % (i, cx.id), n // hx, 0, -1)
+                        words.add(yid, n // hy, dr, 1)
+                        words.add(xid, n // hx, 0, -1)
                         boundary[pid] = words.take()
     return GCWComplex._canonical(group, cells, boundary)
 

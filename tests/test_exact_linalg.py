@@ -397,20 +397,65 @@ def differential_cases():
     yield "euler scale", _random_matrix(rng, 5, 805, 653, 0.01), 5
 
 
-def dense_path(rows, cols, p):
-    """dense_row_reduce behind the interface of fp_row_reduce."""
-    a = np.zeros((len(rows), cols), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for j, x in row.items():
-            a[i, j] = x % p
-    red, pivots = dense_row_reduce(a, p)
-    return IntMatrix(len(rows), cols, red.tolist()), pivots
+def dense_key(a, p):
+    a = np.asarray(a, dtype=np.int64) % p
+    return p, a.shape, a.tobytes()
 
 
-def test_fp_row_reduce_matches_dense_oracle():
+@pytest.fixture(scope="module")
+def oracle():
+    """The differential cases with two right-hand sides each, and the dense
+    oracle's reductions, computed once for the two tests below.
+
+    Each case runs dense_row_reduce once, on [m | reachable | loose].  It
+    takes the columns left to right, a pivot leaves the columns before it
+    as they are and a column without a pivot changes nothing, so the
+    leading columns of the result are the RREF of m and of [m | reachable],
+    and, reachable lying in the span of m, dropping its column leaves the
+    RREF of [m | loose].  `reduced` maps the dense_key of
+    each of the three to its (RREF, pivots); on every case but the largest
+    the three are also reduced directly and must agree.
+    """
+    rng = np.random.default_rng(7)
+    runs, reduced = [], {}
+    for label, m, p in differential_cases():
+        rows, cols = m.shape
+        x = rng.integers(0, p, size=cols).astype(object)
+        reachable = ((m.astype(object) @ x) % p).astype(np.int64).tolist()
+        loose = rng.integers(-p, 2 * p, size=rows, dtype=np.int64).tolist()
+        runs.append((label, m, p, reachable, loose))
+        wide = np.column_stack([m, np.array(reachable, dtype=np.int64),
+                                np.array(loose, dtype=np.int64)])
+        red, pivots = dense_row_reduce(wide, p)
+        assert cols not in pivots, (label, p)
+        for keep in (range(cols), range(cols + 1), [*range(cols), cols + 1]):
+            keep = list(keep)
+            sub = wide[:, keep]
+            out = red[:, keep], [keep.index(c) for c in pivots if c in keep]
+            if label != "euler scale":
+                want, want_piv = dense_row_reduce(sub, p)
+                assert out[1] == want_piv and out[0].tobytes() == want.tobytes()
+            reduced[dense_key(sub, p)] = out
+    return runs, reduced
+
+
+def dense_path(reduced):
+    """The oracle's reductions behind the interface of fp_row_reduce."""
+    def row_reduce(rows, cols, p):
+        a = np.zeros((len(rows), cols), dtype=np.int64)
+        for i, row in enumerate(rows):
+            for j, x in row.items():
+                a[i, j] = x % p
+        red, pivots = reduced[dense_key(a, p)]
+        return IntMatrix(len(rows), cols, red.tolist()), pivots
+    return row_reduce
+
+
+def test_fp_row_reduce_matches_dense_oracle(oracle):
+    _, reduced = oracle
     for label, m, p in differential_cases():
         got, got_piv = fp_row_reduce(sparse(m), m.shape[1], p)
-        want, want_piv = dense_row_reduce(m, p)
+        want, want_piv = reduced[dense_key(m, p)]
         assert got_piv == want_piv, (label, p)
         assert (got.rows, got.cols) == want.shape, (label, p)
         assert all(type(x) is int for row in got.data for x in row), (label, p)
@@ -420,15 +465,8 @@ def test_fp_row_reduce_matches_dense_oracle():
             assert len(got_piv) <= 4
 
 
-def test_fp_solve_and_nullspace_match_dense_oracle(monkeypatch):
-    rng = np.random.default_rng(7)
-    runs = []
-    for label, m, p in differential_cases():
-        rows, cols = m.shape
-        x = rng.integers(0, p, size=cols).astype(object)
-        reachable = ((m.astype(object) @ x) % p).astype(np.int64).tolist()
-        loose = rng.integers(-p, 2 * p, size=rows, dtype=np.int64).tolist()
-        runs.append((label, m, p, reachable, loose))
+def test_fp_solve_and_nullspace_match_dense_oracle(monkeypatch, oracle):
+    runs, reduced = oracle
 
     def results():
         out = []
@@ -439,7 +477,7 @@ def test_fp_solve_and_nullspace_match_dense_oracle(monkeypatch):
         return out
 
     got = results()
-    monkeypatch.setattr(exact_linalg, "fp_row_reduce", dense_path)
+    monkeypatch.setattr(exact_linalg, "fp_row_reduce", dense_path(reduced))
     want = results()
     for (label, m, p, _, _), g, w in zip(runs, got, want):
         assert g[0] is not None, (label, p)

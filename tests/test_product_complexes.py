@@ -5,6 +5,8 @@ form and skip the constructor's normalization.  Each output must equal what
 the reference constructors below build through GCWComplex(...), which
 normalizes every word, and must pass the full validation.  The reference
 constructors are the straightforward versions kept for this comparison.
+The products must also hold one string per cell id and one tuple per
+distinct word.
 """
 
 import time
@@ -19,9 +21,9 @@ from bredonkit.cyclic_reps import CyclicGroup, VirtualRep, irrep, trivial_rep
 from bredonkit.errors import ComplexTooLarge, InvariantViolation
 from bredonkit.gcw_complex import (Cell, GCWComplex, _join_cell_count,
                                    _normalize_pair, _pair_orbit_count,
-                                   _sphere_pieces, join, join_one_skeleton,
-                                   minimal_rep_sphere, plus_point, rep_sphere,
-                                   smash, sphere_of_rep)
+                                   _skeleton_cell_count, _sphere_pieces, join,
+                                   join_one_skeleton, minimal_rep_sphere,
+                                   plus_point, rep_sphere, smash, sphere_of_rep)
 from bredonkit.obstruction import target_rep
 
 from test_shared_complexes import fuzz_corpus, skeleton_corpus
@@ -325,3 +327,61 @@ def test_oversized_obstruct_exits_1_at_once(capsys):
     assert time.monotonic() - t0 < 1.0
     err = capsys.readouterr().err
     assert "1627232 orbit cells" in err and "1000000" in err
+
+
+# ---------------------------------------------------------------------------
+# one copy of each id and each word
+
+def assert_shared(x):
+    """Each boundary target is its cell's id object; equal words are one tuple."""
+    entries = [e for es in x.boundary.values() for e in es]
+    assert all(x.by_id[tid].id is tid for tid, _ in entries)
+    words = [w for _, w in entries]
+    assert len({id(w) for w in words}) == len(set(words))
+
+
+@pytest.mark.parametrize("p,d", CERTIFICATE_SPHERES)
+def test_certificate_spheres_share_ids_and_words(p, d):
+    assert_shared(sphere_of_rep(target_rep(p, d)))
+
+
+def test_smashes_with_graded_spaces_share_ids_and_words():
+    for order, mult, is_onept in GRADED_SPACES:
+        v = VirtualRep(CyclicGroup(order), mult)
+        x = rep_sphere(v) if is_onept else plus_point(sphere_of_rep(v))
+        spheres = [rep_sphere(irrep(v.group, 1))]
+        if order in (3, 5, 7):
+            spheres += [minimal_rep_sphere(order, q) for q in (1, 2)]
+        for s in spheres:
+            assert_shared(smash(s, x))
+
+
+def test_one_skeleta_share_ids_and_words():
+    for sk in skeleton_corpus():
+        assert_shared(sk)
+
+
+# ---------------------------------------------------------------------------
+# the size guard of join_one_skeleton
+
+def reduced_regular_pieces(n):
+    group = CyclicGroup(n)
+    pieces = [sphere_of_rep(irrep(group, k)) for k in group.nontrivial_labels()]
+    return pieces + [sphere_of_rep(trivial_rep(group))]
+
+
+def test_predicted_skeleton_sizes_match_built_skeleta():
+    for n in range(2, 37):
+        pieces = reduced_regular_pieces(n)
+        assert _skeleton_cell_count(pieces) == len(join_one_skeleton(pieces).cells), n
+    assert _skeleton_cell_count(reduced_regular_pieces(256)) == 988319
+    assert _skeleton_cell_count(reduced_regular_pieces(512)) == 7946655
+
+
+def test_oversized_reduced_regular_euler_exits_1_at_once(capsys):
+    t0 = time.monotonic()
+    assert main(["euler", "--n", "512", "--reduced-regular"]) == 1
+    assert time.monotonic() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert "1-skeleton would have 7946655 orbit cells" in err and "1000000" in err
+    assert "Traceback" not in err
