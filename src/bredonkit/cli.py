@@ -98,6 +98,7 @@ def _parse_range(text):
 # point
 
 _POINT_FIELDS = ("m", "n", "dim", "group", "label")
+MAX_POINT_GRADINGS = 10_000
 
 
 def cmd_point(args):
@@ -110,8 +111,12 @@ def cmd_point(args):
         method = "a"
     elif method is None:
         method = "all"
-    gradings = [(m, n) for m in _parse_range(args.m_range)
-                for n in _parse_range(args.n_range)]
+    ms, ns = _parse_range(args.m_range), _parse_range(args.n_range)
+    count = (ms.stop - ms.start) * (ns.stop - ns.start)  # len() stops at 2^63
+    if count > MAX_POINT_GRADINGS:
+        raise ValueError("the window has %d gradings, more than the limit of %d"
+                         % (count, MAX_POINT_GRADINGS))
+    gradings = [(m, n) for m in ms for n in ns]
 
     if coeff == "z":
         group = CyclicGroup(p)

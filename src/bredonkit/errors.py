@@ -85,8 +85,7 @@ class StabilizerMismatch(BredonKitError):
 
 
 class ComplexTooLarge(BredonKitError):
-    """A product complex would exceed the orbit-cell limit.
+    """A product complex or a reduced regular join would be too large.
 
-    The count is predicted from the factors' stabilizers before anything
-    is allocated; the message gives the prediction and the limit.
+    Predicted before anything is allocated; the message says what it counts.
     """

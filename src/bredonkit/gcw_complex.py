@@ -69,9 +69,9 @@ class GCWComplex:
     one nonzero word per target, and no entry for a cell without boundary.
     The constructor brings any input to that form (words to one target
     summed, zero words dropped) and then validates it; _check_words
-    enforces the form.  Only the product constructors (join, smash,
-    join_one_skeleton) skip the normalization: they write canonical words
-    and return through _canonical, which runs the same validation.
+    enforces the form.  Only the product constructors (join and smash)
+    skip the normalization: they write canonical words and return through
+    _canonical, which runs the same validation.
 
     Complexes are shared, not copied: a complex derived by adding a
     basepoint (plus_point, rep_sphere) shares its parent's cells and
@@ -419,23 +419,10 @@ def _join_cell_count(pieces):
     return sum(counts.values())
 
 
-def _check_size(what, count):
+def _check_size(what, count, unit="orbit cells"):
     if count > MAX_ORBIT_CELLS:
-        raise ComplexTooLarge("%s would have %d orbit cells, more than the limit "
-                              "of %d" % (what, count, MAX_ORBIT_CELLS))
-
-
-def _skeleton_cell_count(pieces):
-    """Orbit cells of join_one_skeleton(pieces), from their low cells only."""
-    n = pieces[0].group.order
-    count = 0
-    seen = Counter()
-    for x in pieces:
-        points = Counter(c.stab for c in x.cells if c.dim == 0)
-        count += sum(1 for c in x.cells if c.dim <= 1)
-        count += sum(_pair_counts(n, seen, points).values())
-        seen += points
-    return count
+        raise ComplexTooLarge("%s would have %d %s, more than the limit of %d"
+                              % (what, count, unit, MAX_ORBIT_CELLS))
 
 
 def _pair_ids(tag, xs, ys, n):
@@ -768,46 +755,6 @@ def conf2_model(d):
     if d < 2:
         raise ValueError("d must be >= 2")
     return periodic_free_model(2, d - 1)
-
-
-def join_one_skeleton(pieces):
-    """Cells of dimensions 0 and 1 of the iterated join of the given complexes.
-
-    Enough to read H_0 of the join; avoids building the full product lattice.
-    Piece cells are prefixed p<i>:, product 1-cells connect 0-cells of
-    distinct pieces.  Refused with ComplexTooLarge above MAX_ORBIT_CELLS
-    orbit cells.
-    """
-    group = pieces[0].group
-    if any(x.group != group for x in pieces):
-        raise ValueError("join of complexes over different groups")
-    _check_size("the join 1-skeleton", _skeleton_cell_count(pieces))
-    n = group.order
-    words = _ProductWords(n)
-    cells = []
-    boundary = {}
-    points = []  # (id, stab) of each piece's 0-cells, renamed
-    for i, x in enumerate(pieces):
-        low = [c for c in x.cells if c.dim <= 1]
-        ids = {c.id: "p%d:%s" % (i, c.id) for c in low}
-        for c in low:
-            cells.append(Cell(ids[c.id], c.dim, c.stab))
-            entries = x.boundary_of(c.id)
-            if entries:
-                boundary[ids[c.id]] = words.renamed(ids, entries)
-        points.append([(ids[c.id], c.stab) for c in low if c.dim == 0])
-    for i, xs in enumerate(points):
-        for ys in points[i + 1:]:
-            for xid, hx in xs:
-                for yid, hy in ys:
-                    hp = gcd(hx, hy)
-                    for dr in range(_pair_orbit_count(n, hx, hy)):
-                        pid = "j:%s:%d:%s" % (xid, dr, yid)
-                        cells.append(Cell(pid, 1, hp))
-                        words.add(yid, n // hy, dr, 1)
-                        words.add(xid, n // hx, 0, -1)
-                        boundary[pid] = words.take()
-    return GCWComplex._canonical(group, cells, boundary)
 
 
 # ---------------------------------------------------------------------------

@@ -10,17 +10,16 @@ into the Tate ring), and method C evaluates the closed-form basis:
 
 Also here: Euler class orders over Z (from the sphere chain complex) and
 the vanishing of the Euler class of the reduced regular representation for
-orders with two distinct prime divisors.
+orders with two distinct prime divisors (from the join's 0-cells alone).
 """
 
 import functools
 import math
 
 from .errors import TrivialCharacter
-from .exact_linalg import GroupPresentation, check_prime, order_in_cokernel
-from .cyclic_reps import CyclicGroup, irrep, trivial_rep
-from .gcw_complex import based_zero_sphere, join_one_skeleton, rep_sphere, \
-    sphere_of_rep
+from .exact_linalg import GroupPresentation, IntMatrix, check_prime, order_in_cokernel
+from .cyclic_reps import CyclicGroup, irrep, reduced_regular, trivial_rep
+from .gcw_complex import _check_size, _sphere_pieces, based_zero_sphere, rep_sphere
 from .mackey_bredon import BredonComplex, MackeyCoefficients, ro_graded_cohomology
 
 
@@ -194,25 +193,75 @@ def _prime_divisors(n):
     return out
 
 
+def _order_mod_two_term(size, base, target, columns):
+    """Order of e_target in Z^size / (e_base, columns); None if infinite.
+
+    Columns, possibly streamed, are two (row, coefficient) terms.  A unit entry
+    rewrites its row as a multiple of the other; the rest go to order_in_cokernel.
+    """
+    value = [(r, int(r != base)) for r in range(size)]  # e_r = m.e_root, e_base = 0
+
+    def substituted(col):
+        out = {}
+        for r, c in col:
+            r, m = value[r]
+            out[r] = out.get(r, 0) + c * m
+        return tuple((r, c) for r, c in out.items() if c)
+
+    kept = set()
+    for col in columns:
+        col = substituted(col)
+        k = next((i for i, (_, c) in enumerate(col) if c in (1, -1)), None)
+        if k is not None:
+            (r, c), (s, v) = col[k], col[1 - k] if len(col) == 2 else (base, 0)
+            value = [(s, -c * v * m) if q == r else (q, m) for q, m in value]
+        elif col:
+            kept.add(col)
+    root, m = value[target]
+    cols = sorted({substituted(col) for col in kept})
+    live = sorted({root}.union(r for col in cols for r, _ in col))
+    data = [[dict(col).get(r, 0) for col in cols] for r in live]
+    return order_in_cokernel([m * (r == root) for r in live], IntMatrix.from_rows(data))
+
+
+def _join_cone_class_order(pieces):
+    """Order of the cone-point class in reduced H_0 of the join of pieces.
+
+    The pieces' own 1-cells have augmentation 0, and a product 1-cell over
+    0-cells x, y of distinct pieces has boundary (h_y/h_xy).y - (h_x/h_xy).x,
+    h_xy = gcd(h_x, h_y).  The join is based at the last piece's tb, and its
+    cone point is found as _cone_point finds it.
+    """
+    n = pieces[0].group.order
+    points = [(i, c) for i, x in enumerate(pieces) for c in x.cells if c.dim == 0]
+    base = points.index((len(pieces) - 1, pieces[-1].by_id["tb"]))
+    cone, = [r for r, (_, c) in enumerate(points) if c.stab == n and r != base]
+
+    def columns():
+        for y, (j, cy) in enumerate(points):
+            for x, (i, cx) in enumerate(points[:y]):
+                if i != j:
+                    h = math.gcd(cx.stab, cy.stab)
+                    yield (y, cy.stab // h), (x, -(cx.stab // h))
+    return _order_mod_two_term(len(points), base, cone, columns())
+
+
 def euler_reduced_regular_vanishes(group):
     """Whether the Euler class of the reduced regular representation is zero.
 
-    Decided by direct computation on the 1-skeleton of the sphere join
-    (enough to read reduced degree-0 homology).  For orders with two
-    distinct prime divisors the witnesses list the two sub-characters
-    whose Euler class orders are coprime.
+    Decided by reduced degree-0 Bredon homology of the sphere join, one
+    column per pair of 0-cells in distinct pieces (_join_cone_class_order);
+    above MAX_ORBIT_CELLS pairs, counted from n, it raises ComplexTooLarge.
+    For orders with two distinct prime divisors the witnesses list the
+    sub-characters whose Euler class orders are coprime.
     """
     n = group.order
-    pieces = [sphere_of_rep(irrep(group, k)) for k in group.nontrivial_labels()]
-    pieces.append(sphere_of_rep(trivial_rep(group)))
-    sk = join_one_skeleton(pieces)
-    order = _cone_class_order(sk._rebased("p%d:tb" % (len(pieces) - 1)))
+    points = n // 2 + 2  # one 0-cell per nontrivial label, plus ta and tb
+    _check_size("the reduced regular join of C_%d" % n,
+                points * (points - 1) // 2 - 1, "pairs of 0-cells in distinct pieces")
+    order = _join_cone_class_order(_sphere_pieces(reduced_regular(group)
+                                                  + trivial_rep(group)))
     primes = _prime_divisors(n)
-    witnesses = []
-    if len(primes) >= 2:
-        witnesses = [{"character": n // ell, "order": ell} for ell in primes]
-    return {
-        "vanishes": order == 1,
-        "order": order if order is not None else None,
-        "witnesses": witnesses,
-    }
+    witnesses = ([{"character": n // ell, "order": ell} for ell in primes]
+                 if len(primes) >= 2 else [])
+    return {"vanishes": order == 1, "order": order, "witnesses": witnesses}

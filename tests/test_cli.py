@@ -107,6 +107,25 @@ def test_point_usage_errors(capsys):
                         "--n-range", "0:0"])[0] == 2
 
 
+def test_point_refuses_windows_past_the_grading_limit(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["point", "--p", "3", "--m-range", "-200:200",
+                                  "--n-range", "-200:200"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "160801 gradings" in err and "10000" in err
+    assert "Traceback" not in err
+    # past 2^63 gradings, where len() of a range overflows
+    code, _, err = run(capsys, ["point", "--p", "3", "--m-range", "0:%d" % 10 ** 20,
+                                "--n-range", "0:0"])
+    assert code == 2 and "%d gradings" % (10 ** 20 + 1) in err
+    # a window of exactly the limit answers
+    code, out, _ = run(capsys, ["point", "--p", "3", "--method", "c",
+                                "--m-range", "-49:50", "--n-range", "-49:50",
+                                "--format", "csv"])
+    assert code == 0 and len(rows_of(out, "csv")) == cli.MAX_POINT_GRADINGS
+
+
 def test_space_rep_grading_vanishes(capsys, sphere_file):
     code, out, _ = run(capsys, ["space", sphere_file, "--grading", "xi"])
     assert code == 0

@@ -18,8 +18,6 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "bredonkit"
 KEEP = {
     "expand": "GCWComplex.expand is the test oracle for the orbit chains",
     "graded": "FreeSpaceCohomology.graded is read by the acceptance gate",
-    "from_rows": "IntMatrix.from_rows is the literal-matrix constructor "
-                 "the tests use",
     "to_json": "ObstructionCertificate.to_json is used by the README and "
                "the demos",
     "free_cohomology": "a second name for FreeSpaceCohomology(x), exported; "

@@ -2,13 +2,16 @@
 composite-order vanishing of the reduced-regular Euler class."""
 
 import math
+import random
+import time
 
 import pytest
 
 from bredonkit import point_algebra
 from bredonkit.cyclic_reps import CyclicGroup, irrep
 from bredonkit.errors import NotPrime, TrivialCharacter
-from bredonkit.gcw_complex import load_gcw, rep_sphere, save_gcw
+from bredonkit.exact_linalg import IntMatrix, order_in_cokernel
+from bredonkit.gcw_complex import Cell, GCWComplex, load_gcw, rep_sphere, save_gcw
 from bredonkit.point_algebra import (
     euler_order,
     euler_reduced_regular_vanishes,
@@ -17,6 +20,8 @@ from bredonkit.point_algebra import (
     positive_label,
     render_label,
 )
+
+from test_shared_complexes import reduced_regular_pieces, reference_join_one_skeleton
 
 
 def dims(p, m, n):
@@ -159,9 +164,19 @@ def test_cone_point_is_found_from_the_structure(monkeypatch):
         for k in g.nontrivial_labels():
             euler_order(g, k)
             assert seen.pop() == "b:ta"
-        euler_reduced_regular_vanishes(g)
-        # the trivial piece comes last, after one piece per nontrivial label
-        assert seen.pop() == "p%d:ta" % len(g.nontrivial_labels())
+        # the reduced regular join: the trivial piece, last, with its cone
+        # point renamed and listed first, gives the same order
+        pieces = reduced_regular_pieces(n)
+        renamed = GCWComplex(g, [Cell("apex", 0, n), Cell("tb", 0, n)], {})
+        assert (point_algebra._join_cone_class_order(pieces[:-1] + [renamed])
+                == point_algebra._join_cone_class_order(pieces))
+    # a second fixed 0-cell besides the basepoint, in any piece, is refused
+    pieces = reduced_regular_pieces(6)
+    extra = GCWComplex(pieces[0].group, [Cell("fix", 0, 6)], {})
+    for where in (0, len(pieces) - 1):
+        with pytest.raises(ValueError):
+            point_algebra._join_cone_class_order(
+                pieces[:where] + [extra] + pieces[where:])
 
 
 def test_cone_class_order_survives_a_save_and_load():
@@ -191,3 +206,72 @@ def test_reduced_regular_nonvanishing_prime_power():
     assert out4["vanishes"] is False and out4["witnesses"] == []
     out2 = euler_reduced_regular_vanishes(CyclicGroup(2))
     assert out2["vanishes"] is False and out2["order"] == 2
+
+
+def skeleton_order(pieces):
+    """_cone_class_order on the built join 1-skeleton, based at the last tb."""
+    sk = reference_join_one_skeleton(pieces)._rebased("p%d:tb" % (len(pieces) - 1))
+    return point_algebra._cone_class_order(sk)
+
+
+def test_reduced_regular_join_matches_its_built_one_skeleton():
+    for n in range(2, 37):
+        pieces = reduced_regular_pieces(n)
+        assert point_algebra._join_cone_class_order(pieces) == skeleton_order(pieces), n
+
+
+def test_join_of_random_point_pieces_matches_its_built_one_skeleton():
+    # pieces of 0-cells with random stabilizers, several to a piece, and the
+    # trivial piece last: two-term columns without a unit entry stay behind
+    rng = random.Random(20261020)
+    for _ in range(300):
+        n = rng.randint(2, 36)
+        g = CyclicGroup(n)
+        proper = [h for h in g.subgroup_orders() if h < n]
+        pieces = [GCWComplex(g, [Cell("x%d" % j, 0, rng.choice(proper))
+                                 for j in range(rng.randint(1, 3))], {})
+                  for _ in range(rng.randint(1, 4))]
+        pieces.append(GCWComplex(g, [Cell("ta", 0, n), Cell("tb", 0, n)], {}))
+        assert point_algebra._join_cone_class_order(pieces) == skeleton_order(pieces)
+
+
+def test_two_term_reduction_matches_the_dense_cokernel():
+    # random two-term columns, streamed, against the dense reduced matrix
+    rng = random.Random(20261021)
+    finite = 0
+    for _ in range(400):
+        size = rng.randint(2, 7)
+        base, target = rng.randrange(size), rng.randrange(size)
+        cols = [((rng.randrange(size), rng.choice((-3, -2, -1, 1, 2, 3, 4))),
+                 (rng.randrange(size), rng.choice((-6, -2, -1, 0, 1, 3, 5))))
+                for _ in range(rng.randint(0, 8))]
+        dense = [[0] * len(cols) for _ in range(size)]
+        for j, col in enumerate(cols):
+            for r, c in col:
+                dense[r][j] += c
+        rows = [r for r in range(size) if r != base]
+        want = order_in_cokernel([int(r == target) for r in rows],
+                                 IntMatrix.from_rows([dense[r] for r in rows]))
+        got = point_algebra._order_mod_two_term(size, base, target, iter(cols))
+        assert got == want, (size, base, target, cols)
+        finite += want is not None
+    assert 100 < finite < 400
+
+
+# every order up to 64, then prime powers and composites up to 1024
+SWEEP = list(range(2, 65)) + [81, 100, 121, 125, 128, 210, 243, 256, 343, 512, 1024]
+
+
+def test_reduced_regular_sweep_to_1024():
+    t0 = time.monotonic()
+    for n in SWEEP:
+        out = euler_reduced_regular_vanishes(CyclicGroup(n))
+        q = min(d for d in range(2, n + 1) if n % d == 0)
+        rest = n
+        while rest % q == 0:
+            rest //= q
+        if rest == 1:
+            assert out == {"vanishes": False, "order": q, "witnesses": []}, n
+        else:
+            assert out["vanishes"] is True and out["order"] == 1, n
+    assert time.monotonic() - t0 < 2.0

@@ -1,12 +1,11 @@
 """Product complexes write canonical words and are refused when too large.
 
-join, smash and join_one_skeleton build their boundary words in canonical
-form and skip the constructor's normalization.  Each output must equal what
-the reference constructors below build through GCWComplex(...), which
-normalizes every word, and must pass the full validation.  The reference
-constructors are the straightforward versions kept for this comparison.
-The products must also hold one string per cell id and one tuple per
-distinct word.
+join and smash build their boundary words in canonical form and skip the
+constructor's normalization.  Each output must equal what the reference
+constructors below build through GCWComplex(...), which normalizes every
+word, and must pass the full validation.  The reference constructors are
+the straightforward versions kept for this comparison.  The products must
+also hold one string per cell id and one tuple per distinct word.
 """
 
 import time
@@ -17,16 +16,15 @@ import pytest
 import test_acceptance
 from bredonkit import gcw_complex
 from bredonkit.cli import main
-from bredonkit.cyclic_reps import CyclicGroup, VirtualRep, irrep, trivial_rep
+from bredonkit.cyclic_reps import CyclicGroup, VirtualRep, irrep
 from bredonkit.errors import ComplexTooLarge, InvariantViolation
 from bredonkit.gcw_complex import (Cell, GCWComplex, _join_cell_count,
                                    _normalize_pair, _pair_orbit_count,
-                                   _skeleton_cell_count, _sphere_pieces, join,
-                                   join_one_skeleton, minimal_rep_sphere,
+                                   _sphere_pieces, join, minimal_rep_sphere,
                                    plus_point, rep_sphere, smash, sphere_of_rep)
 from bredonkit.obstruction import target_rep
 
-from test_shared_complexes import fuzz_corpus, skeleton_corpus
+from test_shared_complexes import fuzz_corpus
 
 
 # ---------------------------------------------------------------------------
@@ -132,36 +130,6 @@ def reference_smash(x, y):
     return GCWComplex(x.group, cells, boundary, basepoint="*")
 
 
-def reference_join_one_skeleton(pieces):
-    group = pieces[0].group
-    n = group.order
-    cells = []
-    boundary = {}
-    for i, x in enumerate(pieces):
-        pref = "p%d:" % i
-        for c in x.cells:
-            if c.dim <= 1:
-                cells.append(Cell(pref + c.id, c.dim, c.stab))
-            if c.dim == 1:
-                boundary[pref + c.id] = [(pref + tid, word)
-                                         for tid, word in x.boundary_of(c.id)]
-    for i, x in enumerate(pieces):
-        for j, y in enumerate(pieces[i + 1:], start=i + 1):
-            for cx in x.cells:
-                for cy in y.cells:
-                    if cx.dim or cy.dim:
-                        continue
-                    hx, hy = cx.stab, cy.stab
-                    for dr in range(_pair_orbit_count(n, hx, hy)):
-                        pid = "j:p%d:%s:%d:p%d:%s" % (i, cx.id, dr, j, cy.id)
-                        cells.append(Cell(pid, 1, gcd(hx, hy)))
-                        wb = _Words()
-                        wb.add("p%d:%s" % (j, cy.id), n // hy, dr, 1)
-                        wb.add("p%d:%s" % (i, cx.id), n // hx, 0, -1)
-                        boundary[pid] = wb.packed()
-    return GCWComplex(group, cells, boundary)
-
-
 @pytest.fixture
 def reference_products(monkeypatch):
     """Route sphere_of_rep, rep_sphere and the fuzz corpus through the references."""
@@ -238,16 +206,6 @@ def test_smashes_with_graded_spaces_match_the_references():
             spheres += [minimal_rep_sphere(order, q) for q in (1, 2)]
         for s in spheres:
             assert_same(smash(s, x), reference_smash(s, x))
-
-
-def test_one_skeleta_match_the_references():
-    for sk in skeleton_corpus():
-        pieces = [sphere_of_rep(irrep(sk.group, k))
-                  for k in sk.group.nontrivial_labels()]
-        pieces.append(sphere_of_rep(trivial_rep(sk.group)))
-        assert_same(sk, reference_join_one_skeleton(pieces))
-        assert_same(join_one_skeleton(pieces[:1]),
-                    reference_join_one_skeleton(pieces[:1]))
 
 
 # ---------------------------------------------------------------------------
@@ -356,32 +314,23 @@ def test_smashes_with_graded_spaces_share_ids_and_words():
             assert_shared(smash(s, x))
 
 
-def test_one_skeleta_share_ids_and_words():
-    for sk in skeleton_corpus():
-        assert_shared(sk)
-
-
 # ---------------------------------------------------------------------------
-# the size guard of join_one_skeleton
+# the reduced regular Euler class reads 0-cell pairs, counted before any build
 
-def reduced_regular_pieces(n):
-    group = CyclicGroup(n)
-    pieces = [sphere_of_rep(irrep(group, k)) for k in group.nontrivial_labels()]
-    return pieces + [sphere_of_rep(trivial_rep(group))]
-
-
-def test_predicted_skeleton_sizes_match_built_skeleta():
-    for n in range(2, 37):
-        pieces = reduced_regular_pieces(n)
-        assert _skeleton_cell_count(pieces) == len(join_one_skeleton(pieces).cells), n
-    assert _skeleton_cell_count(reduced_regular_pieces(256)) == 988319
-    assert _skeleton_cell_count(reduced_regular_pieces(512)) == 7946655
+def test_reduced_regular_euler_at_512_answers_at_once(capsys):
+    t0 = time.monotonic()
+    assert main(["euler", "--n", "512", "--reduced-regular",
+                 "--format", "csv"]) == 0
+    assert time.monotonic() - t0 < 1.0
+    out = capsys.readouterr().out
+    assert out.splitlines()[1] == "512,False,2,[]"
 
 
 def test_oversized_reduced_regular_euler_exits_1_at_once(capsys):
     t0 = time.monotonic()
-    assert main(["euler", "--n", "512", "--reduced-regular"]) == 1
+    assert main(["euler", "--n", "100000", "--reduced-regular"]) == 1
     assert time.monotonic() - t0 < 1.0
     err = capsys.readouterr().err
-    assert "1-skeleton would have 7946655 orbit cells" in err and "1000000" in err
+    assert ("the reduced regular join of C_100000 would have 1250075000 "
+            "pairs of 0-cells in distinct pieces") in err and "1000000" in err
     assert "Traceback" not in err

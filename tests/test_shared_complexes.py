@@ -1,13 +1,15 @@
 """Derived and cached complexes share what was already built and validated.
 
-plus_point, rep_sphere and the re-based join skeleton must equal what the
-full GCWComplex constructor builds from the same cells and words, while
-sharing the parent's boundary words; cached sphere models must be built
-once per (p, q) and stay equal to fresh ones.
+plus_point, rep_sphere and the re-based join 1-skeleton (built by the
+reference constructor here) must equal what the full GCWComplex
+constructor builds from the same cells and words, while sharing the
+parent's boundary words; cached sphere models must be built once per
+(p, q) and stay equal to fresh ones.
 """
 
 import json
 import random
+from math import gcd
 
 import pytest
 
@@ -16,8 +18,8 @@ from bredonkit.cli import main
 from bredonkit.cyclic_reps import CyclicGroup, VirtualRep, irrep, trivial_rep
 from bredonkit.errors import InvariantViolation, NotFree
 from bredonkit.free_space import free_cohomology
-from bredonkit.gcw_complex import (Cell, GCWComplex, based_zero_sphere,
-                                   join_one_skeleton, minimal_rep_sphere,
+from bredonkit.gcw_complex import (Cell, GCWComplex, _pair_orbit_count,
+                                   based_zero_sphere, minimal_rep_sphere,
                                    plus_point, rep_sphere, save_gcw,
                                    sphere_of_rep)
 
@@ -29,14 +31,54 @@ def fuzz_corpus():
     return [_fuzz_complex(rng) for _ in range(520)]
 
 
+def reduced_regular_pieces(n):
+    """The joinands of S(reduced regular + 1) over C_n, the trivial piece last."""
+    group = CyclicGroup(n)
+    pieces = [sphere_of_rep(irrep(group, k)) for k in group.nontrivial_labels()]
+    return pieces + [sphere_of_rep(trivial_rep(group))]
+
+
+def reference_join_one_skeleton(pieces):
+    """Cells of dimensions 0 and 1 of the iterated join of pieces.
+
+    Piece cells are prefixed p<i>:; one product 1-cell j:p<i>:<x>:<dr>:p<j>:<y>
+    for each dr joins 0-cells x, y of distinct pieces, with boundary
+    g^dr.y - x.  Every word goes through GCWComplex(...).
+    """
+    group = pieces[0].group
+    n = group.order
+    cells = []
+    boundary = {}
+    for i, x in enumerate(pieces):
+        pref = "p%d:" % i
+        for c in x.cells:
+            if c.dim <= 1:
+                cells.append(Cell(pref + c.id, c.dim, c.stab))
+            if c.dim == 1:
+                boundary[pref + c.id] = [(pref + tid, word)
+                                         for tid, word in x.boundary_of(c.id)]
+    for i, x in enumerate(pieces):
+        for j, y in enumerate(pieces[i + 1:], start=i + 1):
+            for cx in x.cells:
+                for cy in y.cells:
+                    if cx.dim or cy.dim:
+                        continue
+                    hx, hy = cx.stab, cy.stab
+                    for dr in range(_pair_orbit_count(n, hx, hy)):
+                        pid = "j:p%d:%s:%d:p%d:%s" % (i, cx.id, dr, j, cy.id)
+                        cells.append(Cell(pid, 1, gcd(hx, hy)))
+                        wy = [0] * (n // hy)
+                        wy[dr] = 1
+                        wx = [0] * (n // hx)
+                        wx[0] = -1
+                        boundary[pid] = [("p%d:%s" % (j, cy.id), wy),
+                                         ("p%d:%s" % (i, cx.id), wx)]
+    return GCWComplex(group, cells, boundary)
+
+
 def skeleton_corpus():
-    out = []
-    for n in range(2, 9):
-        group = CyclicGroup(n)
-        pieces = [sphere_of_rep(irrep(group, k)) for k in group.nontrivial_labels()]
-        pieces.append(sphere_of_rep(trivial_rep(group)))
-        out.append(join_one_skeleton(pieces))
-    return out
+    return [reference_join_one_skeleton(reduced_regular_pieces(n))
+            for n in range(2, 9)]
 
 
 def rep_corpus():
